@@ -835,6 +835,14 @@ fn emit_json(c: &mut Criterion) {
             b / o
         )
     };
+    // A record's own bench-guard tolerance, tighter than the global one
+    // (bench-guard never lets it loosen the gate).
+    let with_tolerance = |record: String, tolerance: f64| {
+        let body = record
+            .strip_suffix("\n  }")
+            .expect("record ends its object");
+        format!("{body},\n    \"tolerance\": {tolerance}\n  }}")
+    };
     let json = format!(
         "[\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n]\n",
         record(
@@ -896,13 +904,17 @@ fn emit_json(c: &mut Criterion) {
             sv_base,
             sv_opt,
         ),
-        record(
-            "costmodel_dispatch",
-            "p=512, 8 shrinking installments, alpha=1.5, uniform profile",
-            "embedded pre-refactor monomorphic alpha-power solver",
-            "CostModel trait dispatch over CostLaw::AlphaPower (equal_finish_parallel_with)",
-            cm_base,
-            cm_opt,
+        // Expected ≈ 1.0x, so a 2x guard could not see it slide: 1.5.
+        with_tolerance(
+            record(
+                "costmodel_dispatch",
+                "p=512, 8 shrinking installments, alpha=1.5, uniform profile",
+                "embedded pre-refactor monomorphic alpha-power solver",
+                "CostModel trait dispatch over CostLaw::AlphaPower (equal_finish_parallel_with)",
+                cm_base,
+                cm_opt,
+            ),
+            1.5,
         ),
         record(
             "solver_batched",

@@ -9,7 +9,10 @@
 //!
 //! The JSON is the trajectory format emitted by the `hotpaths` bench
 //! (`emit_json`): an array of records with `"bench"` and `"speedup"`
-//! fields. Only kernels present in **both** files are compared, so adding
+//! fields. A committed record may also carry a `"tolerance"` field of
+//! its own, which replaces `--tolerance` for that kernel when it is the
+//! tighter of the two — a record can tighten its gate, never loosen it.
+//! Only kernels present in **both** files are compared, so adding
 //! a new kernel never trips the guard; a kernel that *disappears* from
 //! the fresh file does, because silently dropping a measurement is how a
 //! regression hides. Ratios (not absolute nanoseconds) are compared, so
@@ -19,24 +22,42 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Extracts `(bench name, speedup)` pairs from the hotpaths trajectory
-/// JSON. Hand-rolled for the workspace's own emitter format: fields
-/// appear as `"bench": "<name>"` and `"speedup": <number>`, one record
-/// after the other.
-fn parse_speedups(json: &str) -> BTreeMap<String, f64> {
+/// One parsed trajectory record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Record {
+    speedup: f64,
+    /// The record's own tolerance, if it sets one.
+    tolerance: Option<f64>,
+}
+
+/// Extracts the records of the hotpaths trajectory JSON, keyed by bench
+/// name. Hand-rolled for the workspace's own emitter format: fields
+/// appear one per line as `"bench": "<name>"`, `"speedup": <number>` and
+/// the optional `"tolerance": <number>`, one record after the other; a
+/// record needs a bench name and a speedup.
+fn parse_records(json: &str) -> BTreeMap<String, Record> {
     let mut out = BTreeMap::new();
     let mut current: Option<String> = None;
+    let mut speedup = None;
+    let mut tolerance = None;
+    let mut flush = |name: Option<String>, speedup: Option<f64>, tolerance| {
+        if let (Some(name), Some(speedup)) = (name, speedup) {
+            out.insert(name, Record { speedup, tolerance });
+        }
+    };
+    let number = |rest: &str| rest.trim().parse::<f64>().ok();
     for line in json.lines() {
         let line = line.trim().trim_end_matches(',');
         if let Some(rest) = line.strip_prefix("\"bench\":") {
-            let name = rest.trim().trim_matches('"').to_string();
-            current = Some(name);
+            flush(current.take(), speedup.take(), tolerance.take());
+            current = Some(rest.trim().trim_matches('"').to_string());
         } else if let Some(rest) = line.strip_prefix("\"speedup\":") {
-            if let (Some(name), Ok(speedup)) = (current.take(), rest.trim().parse::<f64>()) {
-                out.insert(name, speedup);
-            }
+            speedup = number(rest);
+        } else if let Some(rest) = line.strip_prefix("\"tolerance\":") {
+            tolerance = number(rest);
         }
     }
+    flush(current, speedup, tolerance);
     out
 }
 
@@ -45,19 +66,26 @@ fn run(committed_path: &str, fresh_path: &str, tolerance: f64) -> Result<(), Str
         .map_err(|e| format!("cannot read committed trajectory {committed_path}: {e}"))?;
     let fresh = std::fs::read_to_string(fresh_path)
         .map_err(|e| format!("cannot read fresh trajectory {fresh_path}: {e}"))?;
-    let committed = parse_speedups(&committed);
-    let fresh = parse_speedups(&fresh);
+    let committed = parse_records(&committed);
+    let fresh = parse_records(&fresh);
     if committed.is_empty() {
         return Err(format!("no records parsed from {committed_path}"));
     }
 
     let mut failures = Vec::new();
-    for (name, &old) in &committed {
+    for (name, committed) in &committed {
+        let old = committed.speedup;
+        let tolerance = match committed.tolerance {
+            None => tolerance,
+            Some(t) if t >= 1.0 => t.min(tolerance),
+            Some(t) => return Err(format!("kernel `{name}`: tolerance {t} must be >= 1")),
+        };
         match fresh.get(name) {
             None => failures.push(format!(
                 "kernel `{name}` (committed speedup {old:.2}x) missing from the fresh run"
             )),
-            Some(&new) => {
+            Some(fresh) => {
+                let new = fresh.speedup;
                 let floor = old / tolerance;
                 let verdict = if new < floor { "REGRESSED" } else { "ok" };
                 // The measured-vs-committed ratio is printed for passing
@@ -81,7 +109,8 @@ fn run(committed_path: &str, fresh_path: &str, tolerance: f64) -> Result<(), Str
     }
     if failures.is_empty() {
         println!(
-            "bench-guard: all kernel speedups within {tolerance}x of the committed trajectory"
+            "bench-guard: all kernel speedups within {tolerance}x (or their own tighter \
+             tolerance) of the committed trajectory"
         );
         Ok(())
     } else {
@@ -136,22 +165,25 @@ mod tests {
   },
   {
     "bench": "peri_sum_dp",
-    "speedup": 7.08
+    "speedup": 7.08,
+    "tolerance": 1.5
   }
 ]
 "#;
 
     #[test]
     fn parses_all_records() {
-        let m = parse_speedups(SAMPLE);
+        let m = parse_records(SAMPLE);
         assert_eq!(m.len(), 2);
-        assert_eq!(m["simulate_demand"], 12.30);
-        assert_eq!(m["peri_sum_dp"], 7.08);
+        assert_eq!(m["simulate_demand"].speedup, 12.30);
+        assert_eq!(m["peri_sum_dp"].speedup, 7.08);
+        assert_eq!(m["simulate_demand"].tolerance, None);
+        assert_eq!(m["peri_sum_dp"].tolerance, Some(1.5));
     }
 
     #[test]
     fn ignores_malformed_lines() {
-        let m = parse_speedups("\"speedup\": 3.0\nnoise\n\"bench\": \"x\"\n");
+        let m = parse_records("\"speedup\": 3.0\nnoise\n\"bench\": \"x\"\n");
         // A speedup with no preceding bench name, and a bench with no
         // speedup: neither makes a record.
         assert!(m.is_empty());
@@ -175,6 +207,40 @@ mod tests {
             2.0
         )
         .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_tolerance_can_tighten_the_gate_but_not_loosen_it() {
+        let dir = std::env::temp_dir().join(format!("bench-guard-tol-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str, text: &str| {
+            let p = dir.join(name);
+            std::fs::write(&p, text).unwrap();
+            p.to_str().unwrap().to_string()
+        };
+        let tight = path(
+            "tight.json",
+            "\"bench\": \"k\"\n\"speedup\": 1.5\n\"tolerance\": 1.5\n",
+        );
+        let loose = path(
+            "loose.json",
+            "\"bench\": \"k\"\n\"speedup\": 1.5\n\"tolerance\": 10\n",
+        );
+        let broken = path(
+            "broken.json",
+            "\"bench\": \"k\"\n\"speedup\": 1.5\n\"tolerance\": 0.5\n",
+        );
+        let at_floor = path("at_floor.json", "\"bench\": \"k\"\n\"speedup\": 1.0\n");
+        let below = path("below.json", "\"bench\": \"k\"\n\"speedup\": 0.9\n");
+        // 1.5 / 1.5 = 1.0 is the record's floor; --tolerance 2 alone
+        // would have let 0.9 through.
+        assert!(run(&tight, &at_floor, 2.0).is_ok());
+        assert!(run(&tight, &below, 2.0).is_err());
+        // A looser record tolerance does not widen --tolerance.
+        assert!(run(&loose, &below, 1.2).is_err());
+        assert!(run(&loose, &at_floor, 2.0).is_ok());
+        assert!(run(&broken, &at_floor, 2.0).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,14 +7,16 @@
 //! alpha column); non-default families write suffixed CSVs.
 //!
 //! Streams a Poisson arrival trace (default 10⁶ loads; `--trace FILE`
-//! replays `size,alpha,release` lines instead) through the
+//! replays `size,alpha,release` lines instead; a malformed line prints
+//! its 1-based line number and exits 2, like a bad flag) through the
 //! `dlt-multiload` service engine, one cell per admission order ×
 //! window × installment policy, printing the table and writing
 //! `results/multiload_service_<profile>.csv`. Cells run serially so
-//! decisions/sec is a clean single-core measurement. `--smoke` trims to
-//! three cells, 2000 loads, p = 4 and the uniform profile (each
-//! overridable) — the CI soak passes `--smoke --loads 100000
-//! --assert-peak-pending N`, which fails the run if any cell's
+//! decisions/sec is a clean measurement; each cell uses up to two cores
+//! (the engine and, under FIFO/SRPT, its alone-solve helper thread).
+//! `--smoke` trims to three cells, 2000 loads, p = 4 and the uniform
+//! profile (each overridable) — the CI soak passes `--smoke --loads
+//! 100000 --assert-peak-pending N`, which fails the run if any cell's
 //! pending-set high-water mark exceeds `N` (the steady-memory gate).
 
 use dlt_experiments::models::model_family;
@@ -22,9 +24,10 @@ use dlt_experiments::multiload::{DEFAULT_ALPHAS, DEFAULT_BASE_SIZE};
 use dlt_experiments::runner::{flag_or, flags, parse_flags, write_and_print};
 use dlt_experiments::service::{
     default_cells, file_trace, run_service, run_service_cell, service_table, smoke_cells,
-    ServicePoint, DEFAULT_SERVICE_LOADS, DEFAULT_SERVICE_P, DEFAULT_UTILIZATION,
+    ServicePoint, TraceFileError, DEFAULT_SERVICE_LOADS, DEFAULT_SERVICE_P, DEFAULT_UTILIZATION,
 };
 use dlt_platform::{PlatformSpec, SpeedDistribution};
+use std::path::Path;
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::MULTILOAD_SERVICE);
@@ -77,9 +80,23 @@ fn main() {
                 let platform = PlatformSpec::new(p, profile.clone())
                     .generate_stream(seed, 0)
                     .expect("valid spec");
+                let open = || file_trace(path).unwrap_or_else(|e| trace_error(path, e));
+                // One checking pass first, so a malformed line fails the
+                // run before any cell is measured.
+                if let Some(Err(e)) = open().find(Result::is_err) {
+                    trace_error(path, e);
+                }
                 cells
                     .iter()
-                    .map(|&cell| run_service_cell(&platform, file_trace(path), cell))
+                    .map(|&cell| {
+                        let mut bad = None;
+                        let trace = open().map_while(|spec| spec.map_err(|e| bad = Some(e)).ok());
+                        let point = run_service_cell(&platform, trace, cell);
+                        if let Some(e) = bad {
+                            trace_error(path, e);
+                        }
+                        point
+                    })
                     .collect()
             }
             None => run_service(
@@ -120,4 +137,11 @@ fn main() {
     if peak_violation {
         std::process::exit(1);
     }
+}
+
+/// Reports a trace file that cannot be replayed and exits 2, like a bad
+/// flag.
+fn trace_error(path: &Path, e: TraceFileError) -> ! {
+    eprintln!("error: {}: {e}", path.display());
+    std::process::exit(2);
 }

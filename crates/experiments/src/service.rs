@@ -14,7 +14,8 @@
 //!
 //! Unlike the trial-summary experiments this runner measures
 //! **throughput** (decisions per wall-clock second), so cells run
-//! strictly serially — no `--threads` knob — and the timing columns of
+//! strictly serially — no `--threads` knob; a cell uses up to two cores,
+//! the engine and its alone-solve helper thread — and the timing columns of
 //! the CSV are *measurements*, not reproducible bytes; the scheduling
 //! columns (decisions, solves, makespan, stretch, peak pending) remain
 //! byte-identical for a given seed.
@@ -178,37 +179,106 @@ pub fn arrival_trace(
     })
 }
 
+/// Why a trace file cannot be replayed.
+#[derive(Debug)]
+pub enum TraceFileError {
+    /// The file could not be opened or read.
+    Io(std::io::Error),
+    /// A line is not a valid `size,alpha,release` arrival, or releases
+    /// go backwards.
+    Line {
+        /// 1-based line number in the file.
+        line: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for TraceFileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Io(e) => write!(f, "cannot read trace file: {e}"),
+            Self::Line { line, reason } => write!(f, "trace file line {line}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceFileError {}
+
 /// Streams a trace from a file: one `size,alpha,release` triple per line
 /// (blank lines and `#` comments skipped), read lazily so file-fed runs
-/// stay steady-memory too. Panics with the offending line on malformed
-/// input — trace files are operator-provided, not untrusted.
-pub fn file_trace(path: &std::path::Path) -> impl Iterator<Item = LoadSpec> {
-    let file = std::fs::File::open(path)
-        .unwrap_or_else(|e| panic!("cannot open trace file {}: {e}", path.display()));
-    let reader = std::io::BufReader::new(file);
-    reader
-        .lines()
-        .map(|line| line.expect("readable trace line"))
-        .filter(|line| {
-            let t = line.trim();
-            !t.is_empty() && !t.starts_with('#')
-        })
-        .map(|line| {
-            let fields: Vec<f64> = line
-                .split(',')
-                .map(|f| {
-                    f.trim()
-                        .parse()
-                        .unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"))
-                })
-                .collect();
-            assert!(
-                fields.len() == 3,
-                "bad trace line {line:?}: want size,alpha,release"
-            );
-            LoadSpec::new(fields[0], fields[1], fields[2])
-                .unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"))
-        })
+/// stay steady-memory too. Each item is the next arrival, or the first
+/// problem — an unreadable line, a wrong field count, a non-numeric
+/// field, an invalid load or a release earlier than the previous one —
+/// after which the stream ends.
+pub fn file_trace(
+    path: &std::path::Path,
+) -> Result<impl Iterator<Item = Result<LoadSpec, TraceFileError>>, TraceFileError> {
+    let file = std::fs::File::open(path).map_err(TraceFileError::Io)?;
+    let mut lines = std::io::BufReader::new(file).lines().enumerate();
+    let mut last_release = 0.0f64;
+    let mut failed = false;
+    Ok(std::iter::from_fn(move || {
+        while !failed {
+            let (index, text) = lines.next()?;
+            let parsed = match text {
+                Ok(text) => {
+                    parse_trace_line(&text, last_release).map_err(|reason| TraceFileError::Line {
+                        line: index + 1,
+                        reason,
+                    })
+                }
+                Err(e) => Err(TraceFileError::Io(e)),
+            };
+            match parsed {
+                Ok(None) => {}
+                Ok(Some(spec)) => {
+                    last_release = spec.release;
+                    return Some(Ok(spec));
+                }
+                Err(e) => {
+                    failed = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        None
+    }))
+}
+
+/// One trace-file line: `None` for a blank or comment line, or why the
+/// line is malformed.
+fn parse_trace_line(text: &str, last_release: f64) -> Result<Option<LoadSpec>, String> {
+    let text = text.trim();
+    if text.is_empty() || text.starts_with('#') {
+        return Ok(None);
+    }
+    let fields: Vec<&str> = text.split(',').map(str::trim).collect();
+    let [size, alpha, release] = fields.as_slice() else {
+        return Err(format!(
+            "want size,alpha,release, got {} field(s) in {text:?}",
+            fields.len()
+        ));
+    };
+    let number = |name: &str, field: &str| {
+        field
+            .parse::<f64>()
+            .map_err(|e| format!("{name} {field:?} is not a number: {e}"))
+    };
+    let spec = LoadSpec::new(
+        number("size", size)?,
+        number("alpha", alpha)?,
+        number("release", release)?,
+    )
+    .map_err(|e| e.to_string())?;
+    if spec.release < last_release {
+        return Err(format!(
+            "release {} precedes the previous arrival's {last_release}: \
+             arrivals must be sorted by release",
+            spec.release
+        ));
+    }
+    Ok(Some(spec))
 }
 
 /// One measured cell: the engine's own report plus wall-clock throughput.
@@ -251,9 +321,11 @@ pub fn run_service_cell(
     }
 }
 
-/// Runs the sweep for one profile: every cell serially (throughput
-/// timing must not contend for cores), each on an identical regenerated
-/// trace. Returns one point per cell, in cell order.
+/// Runs the sweep for one profile: every cell serially (cells must not
+/// contend for cores), each on an identical regenerated trace. A cell
+/// itself uses up to two cores: the engine, plus its alone-solve helper
+/// thread under FIFO/SRPT (see [`dlt_multiload::serve_trace`]). Returns
+/// one point per cell, in cell order.
 #[allow(clippy::too_many_arguments)]
 pub fn run_service(
     profile: &SpeedDistribution,
@@ -446,8 +518,62 @@ mod tests {
         }
         let path = std::env::temp_dir().join(format!("dlt-trace-{}.csv", std::process::id()));
         std::fs::write(&path, text).unwrap();
-        let replayed: Vec<LoadSpec> = file_trace(&path).collect();
+        let replayed: Result<Vec<LoadSpec>, _> = file_trace(&path).unwrap().collect();
         let _ = std::fs::remove_file(&path);
-        assert_eq!(replayed, generated);
+        assert_eq!(replayed.unwrap(), generated);
+    }
+
+    /// Writes `text` to a fresh temporary trace file, streams it, and
+    /// returns what came out.
+    fn stream(text: &str, tag: &str) -> Vec<Result<LoadSpec, TraceFileError>> {
+        let path = std::env::temp_dir().join(format!("dlt-trace-{tag}-{}.csv", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let items = file_trace(&path).unwrap().collect();
+        let _ = std::fs::remove_file(&path);
+        items
+    }
+
+    fn line_error(items: &[Result<LoadSpec, TraceFileError>]) -> (usize, String) {
+        match items.last() {
+            Some(Err(TraceFileError::Line { line, reason })) => (*line, reason.clone()),
+            other => panic!("want a line error last, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_trace_lines_are_typed_errors_with_line_numbers() {
+        // A wrong field count on line 3 (comment and blank lines count).
+        let items = stream(
+            "# size,alpha,release\n10,1.5,0\n\n10,1.5\n10,1.5,2\n",
+            "fields",
+        );
+        assert_eq!(items.len(), 2, "the stream ends at the first error");
+        assert!(items[0].is_ok());
+        let (line, reason) = line_error(&items);
+        assert_eq!(line, 4);
+        assert!(reason.contains("2 field(s)"), "{reason}");
+        // A non-numeric field.
+        let items = stream("10,1.5,0\n10,one,1\n", "number");
+        let (line, reason) = line_error(&items);
+        assert_eq!(line, 2);
+        assert!(reason.contains("alpha \"one\""), "{reason}");
+        // An invalid load and a release going backwards.
+        let (line, _) = line_error(&stream("-10,1.5,0\n", "invalid"));
+        assert_eq!(line, 1);
+        let (line, reason) = line_error(&stream("10,1.5,5\n10,1.5,4\n", "unsorted"));
+        assert_eq!(line, 2);
+        assert!(reason.contains("sorted"), "{reason}");
+        let shown = TraceFileError::Line {
+            line: 7,
+            reason: "x".into(),
+        }
+        .to_string();
+        assert_eq!(shown, "trace file line 7: x");
+    }
+
+    #[test]
+    fn a_missing_trace_file_is_an_io_error() {
+        let missing = std::env::temp_dir().join("dlt-trace-does-not-exist.csv");
+        assert!(matches!(file_trace(&missing), Err(TraceFileError::Io(_))));
     }
 }

@@ -502,6 +502,20 @@ fn bins_reject_unparseable_flag_values_instead_of_defaulting() {
 }
 
 #[test]
+fn bin_multiload_service_rejects_a_malformed_trace_file() {
+    // A bad line in a `--trace` file is an input error like a bad flag:
+    // exit 2 with the line number, not a panic.
+    let path = std::env::temp_dir().join(format!("dlt-bad-trace-{}.csv", std::process::id()));
+    std::fs::write(&path, "10,1.5,0\n10,1.5,one\n").unwrap();
+    run_bin_expect_flag_error(
+        env!("CARGO_BIN_EXE_multiload-service"),
+        &["--smoke", "--trace", path.to_str().unwrap()],
+        "line 2",
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn bin_partition_quality_smoke() {
     let out = run_bin(
         env!("CARGO_BIN_EXE_partition-quality"),

@@ -31,6 +31,25 @@
 //! finishes; aggregates (flow, stretch, decisions, preemptions) are folded
 //! on the fly.
 //!
+//! # Where the alone solves run
+//!
+//! With stretch tracked, every admission also solves the load's
+//! granularity-matched alone makespan (the stretch denominator). Under
+//! FIFO and SRPT that value never ranks anything, so on a multi-core host
+//! the fast engines ([`serve_trace`], [`serve_trace_with_failures`] and
+//! their `_backend` forms) hand it to **one helper thread**: each
+//! admission sends `(spec, installments)` over a bounded queue, the
+//! helper solves the alones on its own handle *in admission order* — the
+//! very warm-start sequence the inline path runs, hence the same bits —
+//! and a finished load waits in a completion-ordered queue until its own
+//! alone is back. The sink order, the summation order of the stretch
+//! aggregates and every [`CompletedLoad`] are therefore unchanged; only
+//! the wall-clock pacing of [`CompletionSink::completed`] calls differs
+//! (completions may leave in small bursts). Weighted stretch (its key
+//! divides by the alone), stretch tracking off, single-core hosts and the
+//! `_reference` twins keep the alone solves inline, so the twins gate
+//! the cross-thread path bit for bit.
+//!
 //! # What is and is not bit-identical to `online_schedule`
 //!
 //! At the service defaults — window size 1, [`InstallmentPolicy::Fixed`] —
@@ -38,13 +57,14 @@
 //! bit** on any release-sorted batch (property-tested): same admissions,
 //! same `(key, id)` selections, same warm-start threading (a dedicated
 //! handle for the admission-time alone solves, mirroring
-//! [`crate::alone_policy_makespans`]'s own handle, and one for the
-//! installment solves), hence the same starts, finishes, shares and
-//! preemption count. Windows larger than 1 and adaptive installments are
-//! *deliberate* departures — merged solves change the round structure —
-//! and are gated instead by [`serve_trace_reference`], a linear-rescan
-//! twin with the same semantics (also bit-identical, property-tested
-//! across policy × window × installment policy).
+//! [`crate::alone_policy_makespans`]'s own handle — inline or on the
+//! helper thread — and one for the installment solves), hence the same
+//! starts, finishes, shares and preemption count. Windows larger than 1
+//! and adaptive installments are *deliberate* departures — merged
+//! solves change the round structure — and are gated instead by
+//! [`serve_trace_reference`], a linear-rescan twin with the same
+//! semantics (also bit-identical, property-tested across policy × window
+//! × installment policy).
 
 use crate::error::MultiLoadError;
 use crate::event_queue::{PendingEntry, PendingSet};
@@ -55,7 +75,9 @@ use dlt_core::batch::{BatchSolver, SolveBackend};
 use dlt_core::costmodel::CostLaw;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::mpsc;
+use std::thread;
 
 /// How many installments a load is cut into, decided at admission time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,8 +124,13 @@ pub struct ServiceConfig {
     /// Whether to compute each load's granularity-matched alone makespan
     /// at admission (k extra solves per load) so flows can be reported as
     /// stretches. Required by [`AdmissionOrder::WeightedStretch`], whose
-    /// key divides by the alone makespan; turn off for maximum
-    /// throughput under FIFO/SRPT.
+    /// key divides by the alone makespan. Under FIFO/SRPT on a multi-core
+    /// host those solves run on a helper thread (see the module docs), so
+    /// tracking costs little: about 74k vs 77k decisions/sec on vs off at
+    /// p = 8 (Poisson, utilization 0.8, window 1, `Fixed(1)`; 2-vCPU Xeon
+    /// VM). Where they run inline — weighted stretch, one core — each
+    /// one is as costly as an installment solve, and tracking about
+    /// halves throughput (about 38k vs 75k at the same point).
     pub track_stretch: bool,
 }
 
@@ -342,6 +369,256 @@ impl Selector for RescanSelector {
     }
 }
 
+/// Capacity of the admission → helper job queue. A burst of more
+/// simultaneous admissions than this blocks the engine until the helper
+/// catches up; results flow back on an unbounded channel, so the helper
+/// never waits on the engine and the two cannot deadlock.
+const ALONE_QUEUE_BOUND: usize = 256;
+
+/// Empty polls the helper makes on the job queue before it blocks
+/// (about 100 µs on a 2-vCPU Xeon VM: a few decisions' worth). At the
+/// service CSV configuration an alone solve is slightly shorter than a
+/// decision, so the helper runs dry after almost every job; blocking
+/// each time would make every admission pay a thread wake-up, which
+/// measured at about 4 µs per decision there (17.3 µs against 13.6 µs).
+/// The helper yields between polls instead of spinning, so that when
+/// both threads share one core it does not keep the engine off it.
+const HELPER_POLLS: usize = 256;
+
+/// The helper's next job: polls briefly, then blocks. `None` once the
+/// engine has closed the queue.
+fn next_job<T>(jobs: &mpsc::Receiver<T>) -> Option<T> {
+    for _ in 0..HELPER_POLLS {
+        match jobs.try_recv() {
+            Ok(job) => return Some(job),
+            Err(mpsc::TryRecvError::Empty) => thread::yield_now(),
+            Err(mpsc::TryRecvError::Disconnected) => return None,
+        }
+    }
+    jobs.recv().ok()
+}
+
+/// Where the admission-time alone solves run: the one seam between the
+/// inline path and the helper thread (see the module docs). The event
+/// loop calls [`Alones::admit`] at every admission, [`Alones::poll`]
+/// once the admitted load is live and [`Alones::complete`] at every
+/// completion; the helper's owner calls [`Helper::finish`] at the end of
+/// the trace.
+// One per run, built once and never moved in the loop: the inline
+// handle's size costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Alones<'h> {
+    /// Solved at admission on the engine's own thread, through this
+    /// handle; `None` when stretch tracking is off.
+    Inline(Option<BatchSolver>),
+    /// Solved in admission order on a helper thread.
+    Helper(&'h mut Helper),
+}
+
+/// The engine's end of the helper thread.
+struct Helper {
+    /// Admitted `(spec, installments)` pairs, in admission order;
+    /// dropped to tell the helper no more loads come.
+    jobs: Option<mpsc::SyncSender<(LoadSpec, usize)>>,
+    /// The helper's alones, in admission (= id) order. The helper stops
+    /// after its first error.
+    results: mpsc::Receiver<Result<f64, MultiLoadError>>,
+    /// Loads `0..received` have their alone back.
+    received: u64,
+    /// Completed loads still waiting for their alone, in completion
+    /// order — the sink order.
+    parked: VecDeque<CompletedLoad>,
+}
+
+impl Alones<'_> {
+    /// The helper-thread path when it can change nothing but wall time:
+    /// stretch tracked, a static key (FIFO, SRPT — only the
+    /// weighted-stretch key reads the alone) and a second core to run on.
+    fn offloadable(config: &ServiceConfig) -> bool {
+        config.track_stretch
+            && config.order.key_is_static()
+            && thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+    }
+
+    /// The inline path, with a solver handle only when stretch is
+    /// tracked.
+    fn inline(config: &ServiceConfig, backend: SolveBackend) -> Self {
+        Self::Inline(config.track_stretch.then(|| BatchSolver::new(backend)))
+    }
+
+    /// Admits a load cut into `k` installments. Returns its alone
+    /// makespan when solved inline, or the placeholder `0.0` (stretch
+    /// off, or the helper's value still to come — no static key reads
+    /// it).
+    fn admit(
+        &mut self,
+        platform: &Platform,
+        spec: &LoadSpec,
+        k: usize,
+        solver: &nonlinear::SolverConfig,
+        report: &mut ServiceReport,
+    ) -> Result<f64, MultiLoadError> {
+        match self {
+            Self::Inline(None) => Ok(0.0),
+            Self::Inline(Some(bsolver_alone)) => {
+                report.alone_solves += k as u64;
+                alone_installment_makespan(platform, spec, k, solver, bsolver_alone)
+            }
+            Self::Helper(h) => {
+                report.alone_solves += k as u64;
+                let jobs = h.jobs.as_ref().expect("jobs close only at the end");
+                if jobs.send((*spec, k)).is_err() {
+                    // The helper hung up: it stopped at an earlier load's
+                    // error, which the engine returns instead.
+                    return Err(h.first_error().expect("the helper stops only on an error"));
+                }
+                Ok(0.0)
+            }
+        }
+    }
+
+    /// Takes in every alone the helper has ready and emits the parked
+    /// loads whose alone is back. A no-op inline.
+    fn poll<S: CompletionSink>(
+        &mut self,
+        states: &mut BTreeMap<u64, LoadState>,
+        report: &mut ServiceReport,
+        sink: &mut S,
+    ) -> Result<(), MultiLoadError> {
+        let Self::Helper(h) = self else {
+            return Ok(());
+        };
+        while let Ok(alone) = h.results.try_recv() {
+            h.take(alone?, states);
+        }
+        h.emit_ready(report, sink);
+        Ok(())
+    }
+
+    /// Streams a completed load out — at once inline, or as soon as its
+    /// alone is back (and every earlier completion has left).
+    fn complete<S: CompletionSink>(
+        &mut self,
+        load: CompletedLoad,
+        states: &mut BTreeMap<u64, LoadState>,
+        report: &mut ServiceReport,
+        sink: &mut S,
+    ) -> Result<(), MultiLoadError> {
+        match self {
+            Self::Inline(solver) => {
+                emit(load, solver.is_some(), report, sink);
+                Ok(())
+            }
+            Self::Helper(h) => {
+                h.parked.push_back(load);
+                self.poll(states, report, sink)
+            }
+        }
+    }
+}
+
+impl Helper {
+    /// Starts the helper inside `scope`: one handle, solving each
+    /// received load's alone in arrival order, exactly as
+    /// [`Alones::Inline`] would.
+    fn spawn<'scope>(
+        scope: &'scope thread::Scope<'scope, '_>,
+        platform: &'scope Platform,
+        backend: SolveBackend,
+    ) -> Self {
+        let (jobs, job_rx) = mpsc::sync_channel(ALONE_QUEUE_BOUND);
+        let (result_tx, results) = mpsc::channel();
+        scope.spawn(move || {
+            let solver = nonlinear::SolverConfig::default();
+            let mut bsolver_alone = BatchSolver::new(backend);
+            while let Some((spec, k)) = next_job(&job_rx) {
+                let alone =
+                    alone_installment_makespan(platform, &spec, k, &solver, &mut bsolver_alone);
+                let failed = alone.is_err();
+                if result_tx.send(alone).is_err() || failed {
+                    break;
+                }
+            }
+        });
+        Self {
+            jobs: Some(jobs),
+            results,
+            received: 0,
+            parked: VecDeque::new(),
+        }
+    }
+
+    /// End of trace: waits for the remaining alones and emits every
+    /// parked load.
+    fn finish<S: CompletionSink>(
+        &mut self,
+        report: &mut ServiceReport,
+        sink: &mut S,
+    ) -> Result<(), MultiLoadError> {
+        self.jobs = None;
+        // Every load has completed: no live state is left to update.
+        let mut states = BTreeMap::new();
+        while let Ok(alone) = self.results.recv() {
+            self.take(alone?, &mut states);
+        }
+        self.emit_ready(report, sink);
+        debug_assert!(self.parked.is_empty(), "every alone came back");
+        Ok(())
+    }
+
+    /// Records the alone of the next load in admission order on its live
+    /// state, or on its parked completion.
+    fn take(&mut self, alone: f64, states: &mut BTreeMap<u64, LoadState>) {
+        let id = self.received;
+        self.received += 1;
+        match states.get_mut(&id) {
+            Some(st) => st.alone = alone,
+            None => {
+                let parked = self
+                    .parked
+                    .iter_mut()
+                    .find(|c| c.id == id)
+                    .expect("an admitted load is live or parked until its alone is back");
+                parked.alone = alone;
+            }
+        }
+    }
+
+    /// Emits parked loads from the front while their alone is back.
+    fn emit_ready<S: CompletionSink>(&mut self, report: &mut ServiceReport, sink: &mut S) {
+        while self.parked.front().is_some_and(|c| c.id < self.received) {
+            let load = self.parked.pop_front().expect("front checked");
+            emit(load, true, report, sink);
+        }
+    }
+
+    /// Closes the job queue and drains the helper, returning its first
+    /// error — on an engine error, the error of a load admitted earlier,
+    /// hence the one the inline path would have returned.
+    fn first_error(&mut self) -> Option<MultiLoadError> {
+        self.jobs = None;
+        self.results.iter().find_map(Result::err)
+    }
+}
+
+/// Streams one completed load into `sink`, folding its stretch first
+/// when stretch is tracked.
+fn emit<S: CompletionSink>(
+    load: CompletedLoad,
+    track_stretch: bool,
+    report: &mut ServiceReport,
+    sink: &mut S,
+) {
+    if track_stretch {
+        let stretch = load.stretch();
+        report.stretch_sum += stretch;
+        if stretch > report.max_stretch {
+            report.max_stretch = stretch;
+        }
+    }
+    sink.completed(load);
+}
+
 fn validate_config(config: &ServiceConfig) -> Result<(), MultiLoadError> {
     if config.batch == 0 {
         return Err(MultiLoadError::ZeroBatch);
@@ -374,6 +651,18 @@ fn validate_config(config: &ServiceConfig) -> Result<(), MultiLoadError> {
 /// At the default configuration (window 1, fixed installments) this is
 /// bit-identical to [`crate::policy::online_schedule`] on any
 /// release-sorted batch — see the module docs.
+///
+/// # Errors
+///
+/// Returns the first error in trace order, as [`serve_trace_reference`]
+/// does: an alone solve failing for load `j` wins over any later error
+/// (an unsorted or invalid arrival, an installment solve). When the
+/// alone solves run on the helper thread (see the module docs), the
+/// engine may have gone on past load `j`'s admission before the failure
+/// came back, so on `Err` the sink may also have received completions
+/// of loads admitted before `j` that the inline path would not have
+/// streamed — and may lack some it would have; the two sinks agree up to
+/// the shorter one.
 ///
 /// # Examples
 ///
@@ -430,13 +719,11 @@ where
     S: CompletionSink,
 {
     validate_config(config)?;
-    let selector = IndexedSelector(PendingSet::new(config.order));
-    engine(
+    indexed_engine(
         platform,
         trace.into_iter(),
         config,
         &FailureTrace::none(),
-        selector,
         backend,
         sink,
     )
@@ -490,16 +777,7 @@ where
 {
     validate_config(config)?;
     failures.validate_for(platform.len())?;
-    let selector = IndexedSelector(PendingSet::new(config.order));
-    engine(
-        platform,
-        trace.into_iter(),
-        config,
-        failures,
-        selector,
-        backend,
-        sink,
-    )
+    indexed_engine(platform, trace.into_iter(), config, failures, backend, sink)
 }
 
 /// Executable specification of [`serve_trace`] for materialized traces:
@@ -519,21 +797,7 @@ where
     S: CompletionSink,
 {
     validate_config(config)?;
-    let selector = RescanSelector {
-        ids: Vec::new(),
-        order: config.order,
-        speed_sum: platform.speeds().iter().sum(),
-        high_water: 0,
-    };
-    engine(
-        platform,
-        loads.iter().copied(),
-        config,
-        &FailureTrace::none(),
-        selector,
-        SolveBackend::Scalar,
-        sink,
-    )
+    rescan_engine(platform, loads, config, &FailureTrace::none(), sink)
 }
 
 /// Linear-rescan reference twin of [`serve_trace_with_failures`] —
@@ -550,19 +814,87 @@ where
 {
     validate_config(config)?;
     failures.validate_for(platform.len())?;
+    rescan_engine(platform, loads, config, failures, sink)
+}
+
+/// The fast engines: the indexed pending set, with the alone solves on a
+/// helper thread whenever [`Alones::offloadable`] allows.
+fn indexed_engine<I, S>(
+    platform: &Platform,
+    arrivals: I,
+    config: &ServiceConfig,
+    failures: &FailureTrace,
+    backend: SolveBackend,
+    sink: &mut S,
+) -> Result<ServiceReport, MultiLoadError>
+where
+    I: Iterator<Item = LoadSpec>,
+    S: CompletionSink,
+{
+    let selector = IndexedSelector(PendingSet::new(config.order));
+    if !Alones::offloadable(config) {
+        let mut alones = Alones::inline(config, backend);
+        return engine(
+            platform,
+            arrivals,
+            config,
+            failures,
+            selector,
+            &mut alones,
+            backend,
+            sink,
+        );
+    }
+    thread::scope(|scope| {
+        let mut helper = Helper::spawn(scope, platform, backend);
+        engine(
+            platform,
+            arrivals,
+            config,
+            failures,
+            selector,
+            &mut Alones::Helper(&mut helper),
+            backend,
+            sink,
+        )
+        .and_then(|mut report| {
+            helper.finish(&mut report, sink)?;
+            Ok(report)
+        })
+        // On an error of its own the engine first drains the helper: an
+        // alone error of an earlier-admitted load wins, as it would
+        // inline.
+        .map_err(|e| helper.first_error().unwrap_or(e))
+    })
+}
+
+/// The references: linear-rescan selection, scalar solves, alones
+/// always inline.
+fn rescan_engine<S>(
+    platform: &Platform,
+    loads: &[LoadSpec],
+    config: &ServiceConfig,
+    failures: &FailureTrace,
+    sink: &mut S,
+) -> Result<ServiceReport, MultiLoadError>
+where
+    S: CompletionSink,
+{
     let selector = RescanSelector {
         ids: Vec::new(),
         order: config.order,
         speed_sum: platform.speeds().iter().sum(),
         high_water: 0,
     };
+    let backend = SolveBackend::Scalar;
     engine(
         platform,
         loads.iter().copied(),
         config,
         failures,
         selector,
-        SolveBackend::Scalar,
+        &mut Alones::inline(config, backend),
+        backend,
         sink,
     )
 }
@@ -573,12 +905,14 @@ where
 /// before every window, a window never spans a pending event (later
 /// groups are pushed back and re-ranked), and a group in flight at an
 /// event is cut pro rata.
+#[allow(clippy::too_many_arguments)]
 fn engine<I, Sel, S>(
     platform: &Platform,
     mut arrivals: I,
     config: &ServiceConfig,
     failures: &FailureTrace,
     mut selector: Sel,
+    alones: &mut Alones<'_>,
     backend: SolveBackend,
     sink: &mut S,
 ) -> Result<ServiceReport, MultiLoadError>
@@ -590,14 +924,14 @@ where
     let p = platform.len();
     let speed_sum: f64 = platform.speeds().iter().sum();
     let solver = nonlinear::SolverConfig::default();
-    // Two solver handles: installment solves thread through one (the
-    // first solve cold, as in the batch engines); admission-time alone
-    // solves thread through the other, in admission order — the same
-    // sequence `alone_policy_makespans` runs, kept on its own handle so
-    // interleaving cannot perturb either sequence's brackets (or, on the
-    // batched backend, each other's share seeds).
+    // Two solver handles: installment solves thread through this one
+    // (the first solve cold, as in the batch engines); admission-time
+    // alone solves thread through the other, held by `alones`, in
+    // admission order — the same sequence `alone_policy_makespans` runs,
+    // kept on its own handle so interleaving cannot perturb either
+    // sequence's brackets (or, on the batched backend, each other's share
+    // seeds).
     let mut bsolver = BatchSolver::new(backend);
-    let mut bsolver_alone = BatchSolver::new(backend);
     let mut fstate = PlatformState::new(platform, failures);
     let mut scratch: Vec<f64> = Vec::new();
     let mut states: BTreeMap<u64, LoadState> = BTreeMap::new();
@@ -638,12 +972,7 @@ where
             // load being admitted.
             let k = config.installments.pick(selector.len() + 1);
             let est = work_estimate(spec.size, spec.model, speed_sum);
-            let alone = if config.track_stretch {
-                report.alone_solves += k as u64;
-                alone_installment_makespan(platform, &spec, k, &solver, &mut bsolver_alone)?
-            } else {
-                0.0
-            };
+            let alone = alones.admit(platform, &spec, k, &solver, &mut report)?;
             states.insert(
                 id,
                 LoadState {
@@ -667,6 +996,7 @@ where
                 },
                 now,
             );
+            alones.poll(&mut states, &mut report, sink)?;
         }
         if selector.is_empty() {
             match lookahead {
@@ -803,16 +1133,8 @@ where
                     let st = states.remove(&id).expect("state is live");
                     report.loads += 1;
                     report.total_data += st.spec.size;
-                    let flow = served_until - st.spec.release;
-                    report.flow_sum += flow;
-                    if config.track_stretch {
-                        let stretch = flow / st.alone;
-                        report.stretch_sum += stretch;
-                        if stretch > report.max_stretch {
-                            report.max_stretch = stretch;
-                        }
-                    }
-                    sink.completed(CompletedLoad {
+                    report.flow_sum += served_until - st.spec.release;
+                    let load = CompletedLoad {
                         id,
                         spec: st.spec,
                         start: st.started,
@@ -821,7 +1143,8 @@ where
                         installments: st.k,
                         shares: st.shares,
                         pieces: st.pieces,
-                    });
+                    };
+                    alones.complete(load, &mut states, &mut report, sink)?;
                 } else {
                     // Only the served load's estimate changed: one powf —
                     // still the healthy-platform normalization — then

@@ -83,8 +83,18 @@ fn sort_by_release(mut loads: Vec<LoadSpec>) -> Vec<LoadSpec> {
     loads
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (the CI seed matrix
+/// runs this suite at 512), else 64.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&c| c > 0)
+        .unwrap_or(64)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn fifo_conserves_every_load((platform, loads) in instance()) {

@@ -4,10 +4,17 @@
 //! `(key, arrival id)`), and burst-then-silence arrival patterns. These
 //! are the shapes where an indexed pending set or an event loop most
 //! plausibly diverges from its executable specification.
+//!
+//! Under FIFO and SRPT with stretch tracked, the fast engine solves the
+//! alone makespans on a helper thread (on multi-core hosts) while the
+//! reference solves them inline, so every FIFO/SRPT comparison here also
+//! gates the cross-thread path: bursts larger than the helper's job
+//! queue, the empty trace, a single load, and an alone solve that fails
+//! part-way through a stream.
 
 use dlt_multiload::{
     serve_trace, serve_trace_reference, AdmissionOrder, CompletedLoad, InstallmentPolicy, LoadSpec,
-    ServiceConfig, ServiceReport,
+    MultiLoadError, ServiceConfig, ServiceReport,
 };
 use dlt_platform::Platform;
 
@@ -41,14 +48,23 @@ fn configs() -> Vec<ServiceConfig> {
 /// Runs one trace through the fast engine and the linear-rescan
 /// reference and demands bitwise equality of reports and completions.
 fn assert_lockstep(loads: &[LoadSpec], what: &str) -> Vec<(ServiceReport, Vec<CompletedLoad>)> {
+    assert_lockstep_under(&configs(), loads, what)
+}
+
+/// [`assert_lockstep`] over an explicit list of configurations.
+fn assert_lockstep_under(
+    cfgs: &[ServiceConfig],
+    loads: &[LoadSpec],
+    what: &str,
+) -> Vec<(ServiceReport, Vec<CompletedLoad>)> {
     let platform = platform();
     let mut runs = Vec::new();
-    for cfg in configs() {
+    for cfg in cfgs {
         let mut fast_out: Vec<CompletedLoad> = Vec::new();
-        let fast = serve_trace(&platform, loads.iter().cloned(), &cfg, &mut fast_out)
+        let fast = serve_trace(&platform, loads.iter().cloned(), cfg, &mut fast_out)
             .unwrap_or_else(|e| panic!("{what}: fast engine failed under {cfg:?}: {e}"));
         let mut ref_out: Vec<CompletedLoad> = Vec::new();
-        let reference = serve_trace_reference(&platform, loads, &cfg, &mut ref_out)
+        let reference = serve_trace_reference(&platform, loads, cfg, &mut ref_out)
             .unwrap_or_else(|e| panic!("{what}: reference failed under {cfg:?}: {e}"));
         assert_eq!(fast, reference, "{what}: report diverged under {cfg:?}");
         assert_eq!(
@@ -58,6 +74,71 @@ fn assert_lockstep(loads: &[LoadSpec], what: &str) -> Vec<(ServiceReport, Vec<Co
         runs.push((fast, fast_out));
     }
     runs
+}
+
+/// The configurations whose alones the fast engine offloads: stretch
+/// tracked under a static key (FIFO, SRPT), at the oracle point and in
+/// a merged window.
+fn offloaded_configs() -> Vec<ServiceConfig> {
+    let mut cfgs = Vec::new();
+    for order in [AdmissionOrder::Fifo, AdmissionOrder::Srpt] {
+        for batch in [1usize, 8] {
+            cfgs.push(ServiceConfig {
+                order,
+                batch,
+                installments: InstallmentPolicy::Fixed(1),
+                track_stretch: true,
+            });
+        }
+    }
+    cfgs
+}
+
+/// `n` deterministic loads of mixed size and exponent, all released at
+/// time 0.
+fn burst(n: usize) -> Vec<LoadSpec> {
+    (0..n)
+        .map(|j| {
+            let size = 10.0 + (j * 37 % 101) as f64;
+            let alpha = [1.0, 1.5, 2.0][j % 3];
+            LoadSpec::new(size, alpha, 0.0).unwrap()
+        })
+        .collect()
+}
+
+/// A valid load whose alone solve fails: `N^α` overflows `f64`.
+fn unsolvable(release: f64) -> LoadSpec {
+    LoadSpec::new(1e15, 24.0, release).unwrap()
+}
+
+/// Runs a failing trace through both engines: they must return the same
+/// error. Both sinks hold a prefix of one completion sequence; the fast
+/// one may stop short of the reference's (completions still waiting for
+/// their alone) or run past it, but only with loads admitted before
+/// `failing_id`.
+fn assert_same_error(
+    cfg: &ServiceConfig,
+    loads: &[LoadSpec],
+    failing_id: u64,
+    what: &str,
+) -> MultiLoadError {
+    let platform = platform();
+    let mut fast_out: Vec<CompletedLoad> = Vec::new();
+    let fast = serve_trace(&platform, loads.iter().cloned(), cfg, &mut fast_out)
+        .expect_err("the fast engine must fail");
+    let mut ref_out: Vec<CompletedLoad> = Vec::new();
+    let reference = serve_trace_reference(&platform, loads, cfg, &mut ref_out)
+        .expect_err("the reference must fail");
+    assert_eq!(fast, reference, "{what}: errors diverged under {cfg:?}");
+    assert!(
+        fast_out.starts_with(&ref_out) || ref_out.starts_with(&fast_out),
+        "{what}: the sinks must agree up to the shorter one"
+    );
+    assert!(
+        fast_out.iter().all(|c| c.id < failing_id),
+        "{what}: a load admitted after the failing one reached the sink"
+    );
+    fast
 }
 
 #[test]
@@ -187,4 +268,61 @@ fn all_simultaneous_releases_with_distinct_sizes_stay_in_lockstep() {
     serve_trace(&platform(), loads.iter().cloned(), &cfg, &mut out).unwrap();
     assert_eq!(out.first().unwrap().id, 0);
     assert_eq!(out.last().unwrap().id, 7);
+}
+
+#[test]
+fn bursts_beyond_the_helper_queue_stay_in_lockstep() {
+    // 2000 simultaneous admissions: far more than the helper's job
+    // queue holds, so the engine blocks on it mid-admission and most
+    // alones come back while the backlog drains.
+    let loads = burst(2000);
+    for (report, completions) in assert_lockstep_under(&offloaded_configs(), &loads, "burst") {
+        assert_eq!(report.loads, 2000);
+        assert_eq!(report.alone_solves, 2000);
+        assert_eq!(report.pending_high_water, 2000);
+        assert_eq!(completions.len(), 2000);
+    }
+}
+
+#[test]
+fn a_failing_alone_solve_wins_over_a_later_engine_error() {
+    let srpt = ServiceConfig {
+        order: AdmissionOrder::Srpt,
+        batch: 1,
+        installments: InstallmentPolicy::Fixed(1),
+        track_stretch: true,
+    };
+    // Load 5's alone solve fails; an arrival out of order follows. The
+    // reference stops at load 5's admission. The fast engine reads the
+    // next arrival right after handing load 5 to its helper — long before
+    // the failing solve gives up — so it meets the unsorted arrival first
+    // and must still return load 5's error.
+    let mut loads: Vec<LoadSpec> = (0..5)
+        .map(|j| LoadSpec::new(20.0 + j as f64, 1.5, j as f64).unwrap())
+        .collect();
+    loads.push(unsolvable(5.0));
+    let unsorted = LoadSpec::new(20.0, 1.5, 3.0).unwrap();
+    for later in [
+        vec![unsorted],
+        vec![LoadSpec::new(20.0, 1.5, 6.0).unwrap(), unsorted],
+    ] {
+        let mut trace = loads.clone();
+        trace.extend(later);
+        let err = assert_same_error(&srpt, &trace, 5, "unsorted after a failing alone");
+        assert!(
+            !matches!(err, MultiLoadError::UnsortedArrivals { .. }),
+            "the earlier-admitted load's alone error must win, got {err:?}"
+        );
+    }
+    // Without the unsorted arrival the stream simply ends in load 5's
+    // error.
+    loads.push(LoadSpec::new(20.0, 1.5, 6.0).unwrap());
+    assert_same_error(&srpt, &loads, 5, "failing alone mid-stream");
+    // A failing alone early in a burst larger than the helper's queue:
+    // the helper stops, and the engine's next hand-off finds it gone.
+    let mut loads = burst(600);
+    loads[1] = unsolvable(0.0);
+    for cfg in offloaded_configs() {
+        assert_same_error(&cfg, &loads, 1, "failing alone in a burst");
+    }
 }
