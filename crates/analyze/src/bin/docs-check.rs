@@ -17,9 +17,9 @@
 //!   identifier anywhere in the `.rs` sources under the `--src` roots
 //!   (default: `crates` and `src`, relative to the working directory).
 //!
-//! The identifier harvesting is `dlt_analyze::idents` — the same
-//! full-fidelity set (comments and strings included) this binary always
-//! used, now shared with the workspace determinism linter. Matching
+//! The identifier harvesting is `dlt_analyze::idents` — the
+//! full-fidelity set (comments and strings included) this crate's
+//! determinism linter shares. Matching
 //! identifiers instead of declarations keeps the checker free of parsing
 //! while still catching the failure mode that matters: a symbol renamed
 //! or deleted in the sources disappears from the identifier set, and

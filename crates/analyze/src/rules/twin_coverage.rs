@@ -12,8 +12,8 @@
 //!
 //! 1. **resolve a twin** — `{name}_reference` exists as a code
 //!    identifier, or for `…_with_…` variants the reference interposes
-//!    before the suffix (`policy_schedule_with_alone` →
-//!    `policy_schedule_reference_with_alone`), or for `*_backend`
+//!    before the suffix (`online_schedule_with_alone` →
+//!    `online_schedule_reference_with_alone`), or for `*_backend`
 //!    entries the un-suffixed base exists (the backend contract is
 //!    "`Scalar` forwards verbatim to the base", so the base *is* the
 //!    oracle); and

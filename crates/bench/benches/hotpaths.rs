@@ -13,18 +13,18 @@
 //! * `multiload` round-robin — the heap chunk dispatcher of
 //!   `dlt-multiload` vs its linear worker-scan reference, on a contended
 //!   many-load batch;
-//! * `multiload_policy` — the cached-key online admission-policy engine
-//!   of `dlt-multiload` (SRPT selection over an incrementally maintained
+//! * `multiload_policy` — the online admission-policy scheduler of
+//!   `dlt-multiload` (SRPT selection over the service engine's indexed
 //!   pending set) vs its rescan-everything linear reference, on a
 //!   many-load arrival stream;
-//! * `multiload_failure` — the same policy engine run through the
+//! * `multiload_failure` — the same scheduler run through the
 //!   fault-injection layer (`online_schedule_with_failures`, cut in-flight
 //!   installments, requeue remainders, re-solve on the degraded platform)
 //!   vs its linear-rescan reference twin, on the same arrival stream
 //!   under periodic degradation waves;
 //! * `multiload_service` — the streaming service engine of
 //!   `dlt-multiload` (indexed-heap pending set, `O(log n)` selection)
-//!   vs the batch `online_schedule` engine (linear selection), on a
+//!   vs its linear-rescan reference twin (`serve_trace_reference`), on a
 //!   4096-load burst; the record also carries the service's
 //!   decisions-per-second throughput;
 //! * the `solver` group — the safeguarded-Newton + warm-start
@@ -60,8 +60,8 @@ use dlt_multiload::{
     online_schedule_reference_with_alone, online_schedule_with_alone,
     online_schedule_with_failures, online_schedule_with_failures_reference,
     round_robin_schedule_reference_with_alone, round_robin_schedule_with_alone, serve_trace,
-    AdmissionOrder, DiscardCompletions, FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec,
-    MultiLoadConfig, PolicyConfig, ServiceConfig,
+    serve_trace_reference, AdmissionOrder, DiscardCompletions, FailureEvent, FailureTrace,
+    InstallmentPolicy, LoadSpec, MultiLoadConfig, PolicyConfig, ServiceConfig,
 };
 use dlt_partition::{peri_sum_partition_reference, PeriSumDp};
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
@@ -133,7 +133,7 @@ fn multiload_instance(
 /// each under SRPT — the regime where *selection* (not the per-solve
 /// Newton) dominates: every decision the reference rescans all pending
 /// loads and recomputes each priority key (one `powf` per candidate),
-/// while the engine reuses cached keys.
+/// while the engine pops its indexed pending set.
 ///
 /// The stretch denominators (`alone`) are unit placeholders, exactly as in
 /// [`multiload_instance`]: SRPT keys never read them, so they influence no
@@ -183,14 +183,14 @@ fn failure_instance(p: usize, waves: usize) -> FailureTrace {
 
 /// Service-engine burst: `loads` α-power loads all released at time 0 on
 /// a small platform — the deepest possible backlog, where *selection*
-/// dominates. The baseline is the batch engine `online_schedule` (cached
-/// keys, but a linear scan of the whole pending set per decision); the
-/// optimized side is the streaming service engine at its oracle defaults
-/// (window 1, one installment, SRPT), whose indexed heap pops the next
-/// load in `O(log n)`. Both sides issue identical equal-finish solves —
-/// the service engine is property-tested bit-identical to the baseline
-/// here — so the ratio isolates the pending-set data structure.
-fn service_instance(p: usize, loads: usize) -> (Platform, Vec<LoadSpec>, ServiceConfig, Vec<f64>) {
+/// dominates. The baseline is the linear-rescan twin
+/// `serve_trace_reference` (every key recomputed, one `powf` per pending
+/// load, per decision); the optimized side is the streaming service
+/// engine at its oracle defaults (window 1, one installment, SRPT), whose
+/// indexed heap pops the next load in `O(log n)`. Both sides issue
+/// identical equal-finish solves — the twins are property-tested
+/// bit-identical — so the ratio isolates the pending-set data structure.
+fn service_instance(p: usize, loads: usize) -> (Platform, Vec<LoadSpec>, ServiceConfig) {
     let platform = PlatformSpec::new(p, SpeedDistribution::paper_uniform())
         .generate(BENCH_SEED)
         .unwrap();
@@ -207,8 +207,7 @@ fn service_instance(p: usize, loads: usize) -> (Platform, Vec<LoadSpec>, Service
         installments: InstallmentPolicy::Fixed(1),
         track_stretch: false,
     };
-    let alone = vec![1.0; batch.len()];
-    (platform, batch, config, alone)
+    (platform, batch, config)
 }
 
 /// FIFO-style solver workload: `installments` equal-finish solves of
@@ -679,11 +678,7 @@ fn bench_service(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("multiload_service");
     for &(p, loads) in &[(8usize, 1_024usize), (8, 4_096)] {
-        let (platform, batch, config, alone) = service_instance(p, loads);
-        let policy_cfg = PolicyConfig {
-            order: config.order,
-            installments: 1,
-        };
+        let (platform, batch, config) = service_instance(p, loads);
         let id = format!("p{p}_l{loads}");
         group.bench_with_input(BenchmarkId::new("indexed_heap_service", &id), &p, |b, _| {
             b.iter(|| {
@@ -696,17 +691,21 @@ fn bench_service(c: &mut Criterion) {
                 .unwrap()
             })
         });
-        group.bench_with_input(BenchmarkId::new("batch_linear_select", &id), &p, |b, _| {
-            b.iter(|| {
-                online_schedule_with_alone(
-                    black_box(&platform),
-                    black_box(&batch),
-                    &policy_cfg,
-                    &alone,
-                )
-                .unwrap()
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("linear_rescan_service", &id),
+            &p,
+            |b, _| {
+                b.iter(|| {
+                    serve_trace_reference(
+                        black_box(&platform),
+                        black_box(&batch),
+                        &config,
+                        &mut DiscardCompletions,
+                    )
+                    .unwrap()
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -805,13 +804,9 @@ fn emit_json(c: &mut Criterion) {
         online_schedule_with_failures(&fa_platform, &fa_batch, &fa_config, &fa_trace).unwrap()
     });
 
-    let (se_platform, se_batch, se_config, se_alone) = service_instance(8, 4_096);
-    let se_policy_cfg = PolicyConfig {
-        order: se_config.order,
-        installments: 1,
-    };
+    let (se_platform, se_batch, se_config) = service_instance(8, 4_096);
     let se_base = time_min_ns(reps(10), || {
-        online_schedule_with_alone(&se_platform, &se_batch, &se_policy_cfg, &se_alone).unwrap()
+        serve_trace_reference(&se_platform, &se_batch, &se_config, &mut DiscardCompletions).unwrap()
     });
     let se_opt = time_min_ns(reps(10), || {
         serve_trace(
@@ -873,7 +868,7 @@ fn emit_json(c: &mut Criterion) {
             "multiload_policy",
             "p=8, loads=768, installments=2, SRPT online, uniform profile",
             "linear rescan + per-candidate powf (online_schedule_reference)",
-            "cached-key incremental pending set (online_schedule)",
+            "indexed pending set (online_schedule)",
             po_base,
             po_opt,
         ),
@@ -881,7 +876,7 @@ fn emit_json(c: &mut Criterion) {
             "multiload_failure",
             "p=8, loads=768, installments=2, SRPT online, 12 failure waves, uniform profile",
             "linear rescan under failures (online_schedule_with_failures_reference)",
-            "cached-key failure engine (online_schedule_with_failures)",
+            "indexed pending set under failures (online_schedule_with_failures)",
             fa_base,
             fa_opt,
         ),
@@ -891,7 +886,7 @@ fn emit_json(c: &mut Criterion) {
                 "p=8, loads=4096 burst, SRPT batch=1 k=1, uniform profile, \
                  {se_decisions_per_sec:.0} decisions/sec"
             ),
-            "batch engine, linear pending-set selection (online_schedule)",
+            "linear rescan + per-candidate powf (serve_trace_reference)",
             "streaming service engine, indexed heap (serve_trace)",
             se_base,
             se_opt,

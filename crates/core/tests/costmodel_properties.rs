@@ -179,8 +179,18 @@ fn bits_of(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (the CI seed matrix
+/// runs this suite at 512), else 48.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&c| c > 0)
+        .unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     // The tentpole bit-identity property: a warm-started installment
     // sequence (the FIFO scheduler's solve pattern) through the trait

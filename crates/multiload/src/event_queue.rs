@@ -2,10 +2,12 @@
 //! that answers "which pending load is served next?" without rescanning
 //! every load.
 //!
-//! [`crate::policy::online_schedule`] keeps its pending loads in a `Vec`
-//! and re-ranks them linearly at every decision — fine for hundreds of
-//! loads, `O(n)` comparisons per decision for the million-load arrival
-//! streams the service engine targets. [`PendingSet`] replaces the scan
+//! The engine's reference selector — behind every `_reference` entry
+//! point — keeps its pending loads in a `Vec` and re-ranks them linearly
+//! at every decision: fine for hundreds of loads, `O(n)` comparisons per
+//! decision for the million-load arrival streams the service engine
+//! targets. [`PendingSet`], the selector of every fast entry point (the
+//! batch schedulers of [`crate::policy`] included), replaces the scan
 //! with two representations, chosen by the admission order:
 //!
 //! * **Indexed** (FIFO, SRPT): the priority key of a pending load is
@@ -19,14 +21,14 @@
 //!   a heap at push time is simply wrong at pop time — a stale entry can
 //!   overtake a fresh one. The set therefore keeps the entries in a flat
 //!   list and **re-keys lazily at each pop**: `O(n)` comparisons, like
-//!   the `Vec` engine, but `O(0)` transcendentals, because the
+//!   the rescan, but `O(0)` transcendentals, because the
 //!   remaining-work estimate and the alone makespan are cached in the
 //!   entry and only the cheap affine combination is recomputed.
 //!
-//! Both representations break key ties by arrival id — the same
-//! `(key, index)` total order ([`f64::total_cmp`]) as the batch engines —
-//! so the service engine at window size 1 reproduces
-//! [`crate::policy::online_schedule`] decision for decision.
+//! Both representations break key ties by arrival id — the batch index
+//! when a [`crate::policy`] adapter feeds the engine — in the same
+//! `(key, id)` total order ([`f64::total_cmp`]) as the rescan, so the two
+//! selectors agree decision for decision.
 //!
 //! The set also records its **high-water mark**: the service engine's
 //! steady-memory claim is precisely that this number stays bounded by the

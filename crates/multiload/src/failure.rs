@@ -1,5 +1,6 @@
 //! The **fault-injection layer**: worker drop-out and slow-down events
-//! threaded through the policy and service engines.
+//! threaded through the installment engine of [`crate::service`] (and so
+//! through every policy scheduler, all adapters over it).
 //!
 //! The paper's no-free-lunch result gives failures a price tag: with
 //! `α > 1`, cutting a load into more pieces does *more* total work
@@ -41,18 +42,16 @@
 //!
 //! [`online_schedule_with_failures`] /
 //! [`policy_schedule_with_failures`] mirror the batch schedulers of
-//! [`crate::policy`] (each with a `_reference` twin); the streamed
+//! [`crate::policy`] (each with a `_reference` twin) and run through the
+//! same adapter, with the trace passed on to the engine; the streamed
 //! counterpart is [`crate::service::serve_trace_with_failures`]. The
 //! offline variant run on the *realized* trace is the clairvoyant
 //! baseline of the competitive-ratio experiments: it knows every future
 //! arrival, but failures strike it all the same.
 
 use crate::error::MultiLoadError;
-use crate::load::{validate_batch, LoadSpec};
-use crate::policy::{
-    alone_policy_makespans_backend, engine_fast, engine_reference, InstallmentExec, PolicyConfig,
-    PolicyOutcome,
-};
+use crate::load::LoadSpec;
+use crate::policy::{schedule, InstallmentExec, PolicyConfig, PolicyOutcome};
 use dlt_core::batch::SolveBackend;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -369,17 +368,9 @@ fn schedule_with_failures(
     reference: bool,
     backend: SolveBackend,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    validate_batch(loads)?;
-    if config.installments == 0 {
-        return Err(MultiLoadError::ZeroInstallments);
-    }
-    failures.validate_for(platform.len())?;
-    let alone = alone_policy_makespans_backend(platform, loads, config.installments, backend)?;
-    let outcome = if reference {
-        engine_reference(platform, loads, config, &alone, online, failures, backend)?
-    } else {
-        engine_fast(platform, loads, config, &alone, online, failures, backend)?
-    };
+    let outcome = schedule(
+        platform, loads, config, None, !online, failures, reference, backend,
+    )?;
     let realized_alone = realized_alone_makespans(platform, loads, &outcome.installment_log)?;
     Ok(FailureOutcome {
         outcome,

@@ -59,7 +59,7 @@ pub struct FifoOutcome {
 /// // Identical back-to-back loads: the second waits a full installment.
 /// assert!((out.report.per_load[1].stretch() - 2.0).abs() < 1e-9);
 /// ```
-// dlt-analyze: allow(twin-coverage) — gated directly: bit-identical to policy_schedule(Fifo, k=1) and to equal_finish_parallel at N=1 (tests/policy_properties.rs), no separate rescan twin needed
+// dlt-analyze: allow(twin-coverage) — gated directly: bit-identical to policy_schedule/online_schedule(Fifo, k=1) (src/policy.rs fifo_policy_reproduces_fifo_schedule_bitwise) and to equal_finish_parallel at N=1 (tests/properties.rs single_immediate_load_fifo_is_the_single_load_solver), no separate rescan twin needed
 pub fn fifo_schedule(
     platform: &Platform,
     loads: &[LoadSpec],

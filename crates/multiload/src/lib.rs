@@ -33,11 +33,13 @@
 //!   whose service order is a pluggable [`AdmissionOrder`] (FIFO, SRPT by
 //!   remaining work, weighted stretch), with preemption between
 //!   installments and an online entry point that commits without future
-//!   knowledge. Each engine keeps a linear-scan reference
-//!   (bit-identical, property-tested), mirroring the round-robin pair.
+//!   knowledge. Both are thin adapters over the service engine below,
+//!   each with a linear-scan reference (bit-identical, property-tested),
+//!   mirroring the round-robin pair.
 //!
-//! On top of the batch schedulers sits the **service engine**
-//! ([`service::serve_trace`]): an event-driven online scheduler that
+//! Under the policy schedulers sits the **service engine**
+//! ([`service::serve_trace`]), the crate's one installment loop: an
+//! event-driven online scheduler that
 //! ingests a *streamed* arrival trace — millions of loads — at steady
 //! memory, with an indexed pending set ([`event_queue::PendingSet`]:
 //! `O(log n)` heap selection for static-key orders, lazy re-keying for
@@ -49,8 +51,8 @@
 //! ([`service::serve_trace_reference`]) gates the batched/adaptive modes.
 //!
 //! The **fault-injection layer** ([`failure`]) threads a [`FailureTrace`]
-//! of worker drop-outs and slow-downs through the policy and service
-//! engines ([`online_schedule_with_failures`],
+//! of worker drop-outs and slow-downs through that one engine
+//! ([`online_schedule_with_failures`],
 //! [`service::serve_trace_with_failures`]): an installment in flight at a
 //! failure event is cut — the served prefix retained, the remainder
 //! re-queued — and every later solve runs on the degraded platform, with
@@ -105,10 +107,9 @@ pub use load::{release_order, LoadSpec};
 pub use metrics::{AggregateMetrics, LoadMetrics, MultiLoadReport, SchedulerKind};
 pub use policy::{
     alone_policy_makespans, alone_policy_makespans_backend, online_schedule,
-    online_schedule_backend, online_schedule_reference, online_schedule_reference_with_alone,
-    online_schedule_with_alone, policy_schedule, policy_schedule_backend,
-    policy_schedule_reference, policy_schedule_reference_with_alone, policy_schedule_with_alone,
-    AdmissionOrder, InstallmentExec, PolicyConfig, PolicyOutcome,
+    online_schedule_reference, online_schedule_reference_with_alone, online_schedule_with_alone,
+    policy_schedule, policy_schedule_reference, AdmissionOrder, InstallmentExec, PolicyConfig,
+    PolicyOutcome,
 };
 pub use round_robin::{
     alone_makespans, alone_makespans_backend, round_robin_schedule, round_robin_schedule_reference,
@@ -116,7 +117,7 @@ pub use round_robin::{
     MultiLoadConfig, RoundRobinOutcome,
 };
 pub use service::{
-    serve_trace, serve_trace_backend, serve_trace_reference, serve_trace_with_failures,
+    serve_trace, serve_trace_reference, serve_trace_with_failures,
     serve_trace_with_failures_backend, serve_trace_with_failures_reference, CompletedLoad,
     CompletionSink, DiscardCompletions, InstallmentPolicy, ServiceConfig, ServiceReport,
 };

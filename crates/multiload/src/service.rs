@@ -1,7 +1,9 @@
 //! The **scheduler-as-a-service engine**: an event-driven online
 //! scheduler that ingests a *streamed* arrival trace — millions of loads —
-//! at steady memory, built from three pieces the batch schedulers of
-//! [`crate::policy`] do not have:
+//! at steady memory. It is the crate's one installment loop: the batch
+//! schedulers of [`crate::policy`] and [`crate::failure`] are thin
+//! adapters over it (see [Batch adapters](#batch-adapters)). It is built
+//! from three pieces:
 //!
 //! 1. an **indexed pending set** ([`crate::event_queue::PendingSet`]):
 //!    `O(log n)` heap selection for the static-key orders (FIFO, SRPT) and
@@ -36,8 +38,9 @@
 //! With stretch tracked, every admission also solves the load's
 //! granularity-matched alone makespan (the stretch denominator). Under
 //! FIFO and SRPT that value never ranks anything, so on a multi-core host
-//! the fast engines ([`serve_trace`], [`serve_trace_with_failures`] and
-//! their `_backend` forms) hand it to **one helper thread**: each
+//! the fast streaming entry points ([`serve_trace`],
+//! [`serve_trace_with_failures`] and [`serve_trace_with_failures_backend`])
+//! hand it to **one helper thread**: each
 //! admission sends `(spec, installments)` over a bounded queue, the
 //! helper solves the alones on its own handle *in admission order* — the
 //! very warm-start sequence the inline path runs, hence the same bits —
@@ -50,27 +53,46 @@
 //! `_reference` twins keep the alone solves inline, so the twins gate
 //! the cross-thread path bit for bit.
 //!
+//! # Batch adapters
+//!
+//! The batch schedulers run this engine at window 1 with fixed
+//! installments, through crate-private inputs only. The batch arrives in
+//! release order with each load's **batch index as its id**, so key ties
+//! break by batch index. The stretch denominators are the index-order
+//! [`crate::alone_policy_makespans`], given up front: no alone solves,
+//! and never the helper thread, which matches results to loads by
+//! admission order. Every installment is logged for the
+//! [`crate::PolicyOutcome`]. The clairvoyant [`crate::policy_schedule`]
+//! admits every load at the start; a group then starts at
+//! `max(now, release)`, and a failure event at or before that start is
+//! applied and the loads re-ranked at the event time first. Online the
+//! start is always `now`.
+//!
 //! # What is and is not bit-identical to `online_schedule`
 //!
 //! At the service defaults — window size 1, [`InstallmentPolicy::Fixed`] —
-//! the engine reproduces [`crate::policy::online_schedule`] **bit for
+//! a streamed run reproduces [`crate::policy::online_schedule`] **bit for
 //! bit** on any release-sorted batch (property-tested): same admissions,
-//! same `(key, id)` selections, same warm-start threading (a dedicated
-//! handle for the admission-time alone solves, mirroring
-//! [`crate::alone_policy_makespans`]'s own handle — inline or on the
-//! helper thread — and one for the installment solves), hence the same
+//! same `(key, id)` selections, same warm-start threading (one handle for
+//! the installment solves; the streamed run's admission-time alone solves
+//! run on a handle of their own in admission order — inline or on the
+//! helper thread — which on a release-sorted batch is exactly the
+//! sequence [`crate::alone_policy_makespans`] runs), hence the same
 //! starts, finishes, shares and preemption count. Windows larger than 1
 //! and adaptive installments are *deliberate* departures — merged
 //! solves change the round structure — and are gated instead by
-//! [`serve_trace_reference`], a linear-rescan twin with the same
-//! semantics (also bit-identical, property-tested across policy × window
-//! × installment policy).
+//! [`serve_trace_reference`], the same engine selecting by linear rescan
+//! (also bit-identical, property-tested across policy × window ×
+//! installment policy).
 
 use crate::error::MultiLoadError;
 use crate::event_queue::{PendingEntry, PendingSet};
 use crate::failure::{FailureTrace, PlatformState, ServedPiece};
-use crate::load::LoadSpec;
-use crate::policy::{alone_installment_makespan, next_installment, work_estimate, AdmissionOrder};
+use crate::load::{release_order, LoadSpec};
+use crate::policy::{
+    alone_installment_makespan, next_installment, work_estimate, AdmissionOrder, InstallmentExec,
+    PolicyConfig,
+};
 use dlt_core::batch::{BatchSolver, SolveBackend};
 use dlt_core::costmodel::CostLaw;
 use dlt_core::nonlinear;
@@ -296,11 +318,10 @@ struct LoadState {
     pieces: Vec<ServedPiece>,
 }
 
-/// Selection strategy: the one seam between the fast engine (indexed
+/// Selection strategy: the one seam between the fast path (indexed
 /// pending set, cached keys) and the linear-rescan reference. Recording,
 /// admission, batching and solving are shared — identical by
-/// construction; only *selection* differs, exactly the discipline of
-/// [`crate::policy`]'s engine/reference pairs.
+/// construction; only *selection* differs.
 trait Selector {
     fn push(&mut self, entry: PendingEntry, now: f64);
     fn pop_min(&mut self, now: f64, states: &BTreeMap<u64, LoadState>) -> Option<u64>;
@@ -337,6 +358,17 @@ struct RescanSelector {
     order: AdmissionOrder,
     speed_sum: f64,
     high_water: usize,
+}
+
+impl RescanSelector {
+    fn new(order: AdmissionOrder, platform: &Platform) -> Self {
+        Self {
+            ids: Vec::new(),
+            order,
+            speed_sum: platform.speeds().iter().sum(),
+            high_water: 0,
+        }
+    }
 }
 
 impl Selector for RescanSelector {
@@ -413,6 +445,9 @@ enum Alones<'h> {
     Inline(Option<BatchSolver>),
     /// Solved in admission order on a helper thread.
     Helper(&'h mut Helper),
+    /// Given up front, indexed by load id — the batch adapters' index-order
+    /// [`crate::alone_policy_makespans`]: no solves at all.
+    Given(&'h [f64]),
 }
 
 /// The engine's end of the helper thread.
@@ -453,13 +488,14 @@ impl Alones<'_> {
     fn admit(
         &mut self,
         platform: &Platform,
-        spec: &LoadSpec,
+        (id, spec): (u64, &LoadSpec),
         k: usize,
         solver: &nonlinear::SolverConfig,
         report: &mut ServiceReport,
     ) -> Result<f64, MultiLoadError> {
         match self {
             Self::Inline(None) => Ok(0.0),
+            Self::Given(alone) => Ok(alone[id as usize]),
             Self::Inline(Some(bsolver_alone)) => {
                 report.alone_solves += k as u64;
                 alone_installment_makespan(platform, spec, k, solver, bsolver_alone)
@@ -505,13 +541,13 @@ impl Alones<'_> {
         sink: &mut S,
     ) -> Result<(), MultiLoadError> {
         match self {
-            Self::Inline(solver) => {
-                emit(load, solver.is_some(), report, sink);
-                Ok(())
-            }
             Self::Helper(h) => {
                 h.parked.push_back(load);
                 self.poll(states, report, sink)
+            }
+            _ => {
+                emit(load, !matches!(self, Self::Inline(None)), report, sink);
+                Ok(())
             }
         }
     }
@@ -699,34 +735,7 @@ where
     I: IntoIterator<Item = LoadSpec>,
     S: CompletionSink,
 {
-    serve_trace_backend(platform, trace, config, SolveBackend::Scalar, sink)
-}
-
-/// [`serve_trace`] through an explicit solver backend: both the
-/// admission-time alone solves and the installment/merged-group solves run
-/// on `backend`, each through its own persistent
-/// [`dlt_core::batch::BatchSolver`] handle. [`SolveBackend::Scalar`] is
-/// bit-identical to [`serve_trace`].
-pub fn serve_trace_backend<I, S>(
-    platform: &Platform,
-    trace: I,
-    config: &ServiceConfig,
-    backend: SolveBackend,
-    sink: &mut S,
-) -> Result<ServiceReport, MultiLoadError>
-where
-    I: IntoIterator<Item = LoadSpec>,
-    S: CompletionSink,
-{
-    validate_config(config)?;
-    indexed_engine(
-        platform,
-        trace.into_iter(),
-        config,
-        &FailureTrace::none(),
-        backend,
-        sink,
-    )
+    serve_trace_with_failures(platform, trace, config, &FailureTrace::none(), sink)
 }
 
 /// [`serve_trace`] under a failure trace: worker drop-outs and slow-downs
@@ -757,12 +766,15 @@ where
     )
 }
 
-/// [`serve_trace_with_failures`] through an explicit solver backend. A
-/// `Down` event shrinks the platform mid-trace; the batched backend's
-/// solver handle detects the lane change and discards its per-worker share
-/// seeds (now the wrong length) instead of misapplying them.
-/// [`SolveBackend::Scalar`] is bit-identical to
-/// [`serve_trace_with_failures`].
+/// [`serve_trace_with_failures`] through an explicit solver backend: the
+/// admission-time alone solves and the installment/merged-group solves run
+/// on `backend`, each through its own persistent
+/// [`dlt_core::batch::BatchSolver`] handle (with an empty failure trace,
+/// this is [`serve_trace`] on `backend`). A `Down` event shrinks the
+/// platform mid-trace; the batched backend's solver handle detects the
+/// lane change and discards its per-worker share seeds (now the wrong
+/// length) instead of misapplying them. [`SolveBackend::Scalar`] is
+/// bit-identical to [`serve_trace_with_failures`].
 pub fn serve_trace_with_failures_backend<I, S>(
     platform: &Platform,
     trace: I,
@@ -831,6 +843,7 @@ where
     I: Iterator<Item = LoadSpec>,
     S: CompletionSink,
 {
+    let arrivals = (0..).zip(arrivals);
     let selector = IndexedSelector(PendingSet::new(config.order));
     if !Alones::offloadable(config) {
         let mut alones = Alones::inline(config, backend);
@@ -842,6 +855,7 @@ where
             selector,
             &mut alones,
             backend,
+            None,
             sink,
         );
     }
@@ -855,6 +869,7 @@ where
             selector,
             &mut Alones::Helper(&mut helper),
             backend,
+            None,
             sink,
         )
         .and_then(|mut report| {
@@ -880,23 +895,89 @@ fn rescan_engine<S>(
 where
     S: CompletionSink,
 {
-    let selector = RescanSelector {
-        ids: Vec::new(),
-        order: config.order,
-        speed_sum: platform.speeds().iter().sum(),
-        high_water: 0,
-    };
     let backend = SolveBackend::Scalar;
     engine(
         platform,
-        loads.iter().copied(),
+        (0..).zip(loads.iter().copied()),
         config,
         failures,
-        selector,
+        RescanSelector::new(config.order, platform),
         &mut Alones::inline(config, backend),
         backend,
+        None,
         sink,
     )
+}
+
+/// What the batch adapters of [`crate::policy`] add to a run.
+struct Batch<'a> {
+    /// Admit every load at the start — the clairvoyant scheduler, which
+    /// ranks unreleased loads too — instead of at its release.
+    clairvoyant: bool,
+    /// Every executed installment, in service order.
+    log: &'a mut Vec<InstallmentExec>,
+}
+
+/// The batch schedulers of [`crate::policy`] on this engine (see the
+/// module docs, *Batch adapters*); `reference` selects by linear rescan.
+/// Returns the report, the completed loads in batch order and the
+/// installment log.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_batch(
+    platform: &Platform,
+    loads: &[LoadSpec],
+    config: &PolicyConfig,
+    alone: &[f64],
+    clairvoyant: bool,
+    failures: &FailureTrace,
+    reference: bool,
+    backend: SolveBackend,
+) -> Result<(ServiceReport, Vec<CompletedLoad>, Vec<InstallmentExec>), MultiLoadError> {
+    let service = ServiceConfig {
+        order: config.order,
+        batch: 1,
+        installments: InstallmentPolicy::Fixed(config.installments),
+        track_stretch: true,
+    };
+    let arrivals = release_order(loads)
+        .into_iter()
+        .map(|j| (j as u64, loads[j]));
+    let mut alones = Alones::Given(alone);
+    let mut log = Vec::with_capacity(loads.len() * config.installments);
+    let batch = Some(Batch {
+        clairvoyant,
+        log: &mut log,
+    });
+    let mut done: Vec<CompletedLoad> = Vec::with_capacity(loads.len());
+    let report = if reference {
+        let selector = RescanSelector::new(config.order, platform);
+        engine(
+            platform,
+            arrivals,
+            &service,
+            failures,
+            selector,
+            &mut alones,
+            backend,
+            batch,
+            &mut done,
+        )
+    } else {
+        let selector = IndexedSelector(PendingSet::new(config.order));
+        engine(
+            platform,
+            arrivals,
+            &service,
+            failures,
+            selector,
+            &mut alones,
+            backend,
+            batch,
+            &mut done,
+        )
+    }?;
+    done.sort_unstable_by_key(|c| c.id);
+    Ok((report, done, log))
 }
 
 /// The shared engine: event loop over (arrival, window, failure,
@@ -914,10 +995,11 @@ fn engine<I, Sel, S>(
     mut selector: Sel,
     alones: &mut Alones<'_>,
     backend: SolveBackend,
+    mut batch: Option<Batch<'_>>,
     sink: &mut S,
 ) -> Result<ServiceReport, MultiLoadError>
 where
-    I: Iterator<Item = LoadSpec>,
+    I: Iterator<Item = (u64, LoadSpec)>,
     Sel: Selector,
     S: CompletionSink,
 {
@@ -925,7 +1007,7 @@ where
     let speed_sum: f64 = platform.speeds().iter().sum();
     let solver = nonlinear::SolverConfig::default();
     // Two solver handles: installment solves thread through this one
-    // (the first solve cold, as in the batch engines); admission-time
+    // (the first solve cold, as in `fifo_schedule`); admission-time
     // alone solves thread through the other, held by `alones`, in
     // admission order — the same sequence `alone_policy_makespans` runs,
     // kept on its own handle so interleaving cannot perturb either
@@ -937,8 +1019,8 @@ where
     let mut states: BTreeMap<u64, LoadState> = BTreeMap::new();
     let mut report = ServiceReport::new(p);
     let mut lookahead: Option<(u64, LoadSpec)> = None;
-    let mut next_id: u64 = 0;
     let mut last_release = 0.0f64;
+    let clairvoyant = batch.as_ref().is_some_and(|b| b.clairvoyant);
     let mut last_served: Option<u64> = None;
     let mut now = 0.0f64;
     let mut window: Vec<u64> = Vec::with_capacity(config.batch);
@@ -946,25 +1028,25 @@ where
         // Failure event: apply everything at or before `now` before any
         // admission or ranking decision.
         fstate.advance_to(now)?;
-        // Admission event: pull every arrival released by `now`, in
-        // stream order (= release order, ties by stream position).
+        // Admission event: pull every arrival released by `now` (every
+        // arrival at all, clairvoyant), in stream order (= release order,
+        // ties by stream position).
         loop {
             if lookahead.is_none() {
                 match arrivals.next() {
-                    Some(spec) => {
+                    Some((id, spec)) => {
                         LoadSpec::with_model(spec.size, spec.model, spec.release)?;
                         if spec.release < last_release {
-                            return Err(MultiLoadError::UnsortedArrivals { index: next_id });
+                            return Err(MultiLoadError::UnsortedArrivals { index: id });
                         }
                         last_release = spec.release;
-                        lookahead = Some((next_id, spec));
-                        next_id += 1;
+                        lookahead = Some((id, spec));
                     }
                     None => break,
                 }
             }
             let (id, spec) = lookahead.expect("just refilled");
-            if spec.release > now {
+            if spec.release > now && !clairvoyant {
                 break;
             }
             lookahead = None;
@@ -972,7 +1054,7 @@ where
             // load being admitted.
             let k = config.installments.pick(selector.len() + 1);
             let est = work_estimate(spec.size, spec.model, speed_sum);
-            let alone = alones.admit(platform, &spec, k, &solver, &mut report)?;
+            let alone = alones.admit(platform, (id, &spec), k, &solver, &mut report)?;
             states.insert(
                 id,
                 LoadState {
@@ -1032,11 +1114,24 @@ where
             }
         }
         for gi in 0..groups.len() {
-            // Failure event inside the window: once earlier groups have
-            // advanced the clock onto a pending event, the remaining
-            // winners go back to the pending set unserved and the next
-            // window re-ranks against the degraded platform.
-            if fstate.next_event_at().is_some_and(|t| t <= now) {
+            let (model, members) = &groups[gi];
+            // A group starts once the platform is free and its members
+            // are released: always `now` online, but the clairvoyant
+            // scheduler may have picked a load still to come.
+            let start = if clairvoyant {
+                members
+                    .iter()
+                    .map(|&(id, _)| states[&id].spec.release)
+                    .fold(now, f64::max)
+            } else {
+                now
+            };
+            // Failure event before the start: once earlier groups have
+            // advanced the clock onto a pending event, or an event lands
+            // in a clairvoyant wait, the remaining winners go back to the
+            // pending set unserved and the next window re-ranks at the
+            // event against the degraded platform.
+            if let Some(t) = fstate.next_event_at().filter(|&t| t <= start) {
                 for (_, members) in &groups[gi..] {
                     for &(id, _) in members {
                         let st = &states[&id];
@@ -1049,18 +1144,17 @@ where
                         selector.push(entry, now);
                     }
                 }
+                now = t;
                 break;
             }
-            let (model, members) = &groups[gi];
             let single = members.len() == 1;
             let total: f64 = if single {
                 members[0].1
             } else {
                 members.iter().map(|&(_, d)| d).sum()
             };
-            let alloc = bsolver.solve(fstate.current(now)?.0, total, *model, &solver)?;
+            let alloc = bsolver.solve(fstate.current(start)?.0, total, *model, &solver)?;
             report.solves += 1;
-            let start = now;
             let finish = start + alloc.makespan;
             // A failure strictly inside the group's round cuts every
             // member pro rata at the event time.
@@ -1071,10 +1165,9 @@ where
             };
             let x = fstate.scatter(&alloc.x, None, &mut scratch);
             for &(id, data) in members {
-                // Same preemption rule as the batch engines' Recorder: a
-                // different load than last time, while that one still has
-                // remaining data (a completed load has none by
-                // definition — its state is gone).
+                // Preemption: a different load than last time, while that
+                // one still has remaining data (a completed load has none
+                // by definition — its state is gone).
                 let preempted = last_served.is_some_and(|prev| {
                     prev != id && states.get(&prev).is_some_and(|s| s.remaining > 0.0)
                 });
@@ -1100,7 +1193,7 @@ where
                         report.worker_finish[w] = served_until;
                     }
                 }
-                match phi {
+                let piece = match phi {
                     None => {
                         st.remaining = if st.inst_left == 1 {
                             0.0
@@ -1108,10 +1201,10 @@ where
                             st.remaining - data
                         };
                         st.inst_left -= 1;
-                        st.pieces.push(ServedPiece {
+                        ServedPiece {
                             data,
                             interrupted: false,
-                        });
+                        }
                     }
                     Some(phi) => {
                         // Cut: retain the prefix, re-queue the remainder;
@@ -1120,12 +1213,22 @@ where
                         let requeued = st.remaining - retained;
                         report.interruptions += 1;
                         report.requeued_data += requeued.max(0.0);
-                        st.pieces.push(ServedPiece {
+                        st.remaining = if requeued <= 0.0 { 0.0 } else { requeued };
+                        ServedPiece {
                             data: retained,
                             interrupted: true,
-                        });
-                        st.remaining = if requeued <= 0.0 { 0.0 } else { requeued };
+                        }
                     }
+                };
+                st.pieces.push(piece);
+                if let Some(b) = batch.as_mut() {
+                    b.log.push(InstallmentExec {
+                        load: id as usize,
+                        data: piece.data,
+                        start,
+                        finish: served_until,
+                        interrupted: piece.interrupted,
+                    });
                 }
                 if st.remaining <= 0.0 {
                     // Completion event: stream the load out and drop its
