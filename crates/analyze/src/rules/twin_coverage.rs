@@ -11,12 +11,14 @@
 //! `*_backend` batched entry point) must
 //!
 //! 1. **resolve a twin** — `{name}_reference` exists as a code
-//!    identifier, or for `…_with_…` variants the reference interposes
-//!    before the suffix (`online_schedule_with_alone` →
-//!    `online_schedule_reference_with_alone`), or for `*_backend`
-//!    entries the un-suffixed base exists (the backend contract is
-//!    "`Scalar` forwards verbatim to the base", so the base *is* the
-//!    oracle); and
+//!    identifier, or for `X_with_Y` variants either the reference
+//!    interposes before the suffix (`online_schedule_with_alone` →
+//!    `online_schedule_reference_with_alone`) or the base's own
+//!    reference `X_reference` exists (`online_schedule_with_failures` →
+//!    `online_schedule_reference`, one reference per scheduler that takes
+//!    the extra input), or for `*_backend` entries the un-suffixed base
+//!    exists (the backend contract is "`Scalar` forwards verbatim to the
+//!    base", so the base *is* the oracle); and
 //! 2. **be named in a gating test** — the identifier appears in at
 //!    least one harvested `tests/*properties*.rs`/`tests/*engines*.rs`
 //!    file.
@@ -44,8 +46,9 @@ fn twin_candidates(name: &str) -> Vec<String> {
         return vec![base.to_string()];
     }
     let mut c = vec![format!("{name}_reference")];
-    if name.contains("_with_") {
-        c.push(name.replacen("_with_", "_reference_with_", 1));
+    if let Some((base, suffix)) = name.split_once("_with_") {
+        c.push(format!("{base}_reference_with_{suffix}"));
+        c.push(format!("{base}_reference"));
     }
     c
 }
@@ -164,6 +167,7 @@ mod tests {
             vec![
                 "policy_schedule_with_alone_reference".to_string(),
                 "policy_schedule_reference_with_alone".to_string(),
+                "policy_schedule_reference".to_string(),
             ]
         );
         assert_eq!(

@@ -217,6 +217,39 @@ fn twin_coverage_grammar_variants() {
 }
 
 #[test]
+fn twin_coverage_with_variant_resolves_to_the_base_reference() {
+    // `X_with_Y` is covered by the scheduler's one reference `X_reference`
+    // (which takes the extra input), with no interposed twin.
+    let test = (
+        "crates/x/tests/engine_properties.rs",
+        "// names: demand_schedule demand_schedule_with_failures\n",
+    );
+    let got = twin_findings(&[
+        (
+            "crates/x/src/fast.rs",
+            "pub fn demand_schedule(n: usize) -> usize { n }\n\
+             pub fn demand_schedule_with_failures(n: usize) -> usize { n }\n\
+             pub fn demand_schedule_reference(n: usize, f: usize) -> usize { n + f }\n",
+        ),
+        test,
+    ]);
+    assert!(got.is_empty(), "{got:?}");
+    // Neither `X_reference` nor the interposed twin: still flagged, once
+    // per engine (clause 2 holds, the test names both).
+    let got = twin_findings(&[
+        (
+            "crates/x/src/fast.rs",
+            "pub fn demand_schedule(n: usize) -> usize { n }\n\
+             pub fn demand_schedule_with_failures(n: usize) -> usize { n }\n",
+        ),
+        test,
+    ]);
+    assert_eq!(got.len(), 2, "{got:?}");
+    assert!(got.iter().all(|(r, _)| r == "twin-coverage"));
+    assert_eq!(got.iter().filter(|(_, l)| *l == 2).count(), 1, "{got:?}");
+}
+
+#[test]
 fn twin_coverage_skips_methods_references_and_out_of_scope_crates() {
     // A method containing `_schedule` is a conversion, not an engine.
     let method = "pub struct S;\nimpl S {\n  pub fn to_schedule(&self) -> usize { 0 }\n}\n";

@@ -20,8 +20,9 @@
 //! * `multiload_failure` — the same scheduler run through the
 //!   fault-injection layer (`online_schedule_with_failures`, cut in-flight
 //!   installments, requeue remainders, re-solve on the degraded platform)
-//!   vs its linear-rescan reference twin, on the same arrival stream
-//!   under periodic degradation waves;
+//!   vs the scheduler's one linear-rescan reference
+//!   (`online_schedule_reference`, given the same failure trace), on the
+//!   same arrival stream under periodic degradation waves;
 //! * `multiload_service` — the streaming service engine of
 //!   `dlt-multiload` (indexed-heap pending set, `O(log n)` selection)
 //!   vs its linear-rescan reference twin (`serve_trace_reference`), on a
@@ -57,11 +58,11 @@ use dlt_core::batch::{BatchSolver, SolveBackend};
 use dlt_core::costmodel::CostLaw;
 use dlt_core::nonlinear;
 use dlt_multiload::{
-    online_schedule_reference_with_alone, online_schedule_with_alone,
-    online_schedule_with_failures, online_schedule_with_failures_reference,
-    round_robin_schedule_reference_with_alone, round_robin_schedule_with_alone, serve_trace,
-    serve_trace_reference, AdmissionOrder, DiscardCompletions, FailureEvent, FailureTrace,
-    InstallmentPolicy, LoadSpec, MultiLoadConfig, PolicyConfig, ServiceConfig,
+    online_schedule_reference, online_schedule_reference_with_alone, online_schedule_with_alone,
+    online_schedule_with_failures, round_robin_schedule_reference_with_alone,
+    round_robin_schedule_with_alone, serve_trace, serve_trace_reference, AdmissionOrder,
+    DiscardCompletions, FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec, MultiLoadConfig,
+    PolicyConfig, ServiceConfig,
 };
 use dlt_partition::{peri_sum_partition_reference, PeriSumDp};
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
@@ -658,7 +659,7 @@ fn bench_failure(c: &mut Criterion) {
             &p,
             |b, _| {
                 b.iter(|| {
-                    online_schedule_with_failures_reference(
+                    online_schedule_reference(
                         black_box(&platform),
                         black_box(&batch),
                         &config,
@@ -700,6 +701,7 @@ fn bench_service(c: &mut Criterion) {
                         black_box(&platform),
                         black_box(&batch),
                         &config,
+                        &FailureTrace::none(),
                         &mut DiscardCompletions,
                     )
                     .unwrap()
@@ -797,16 +799,23 @@ fn emit_json(c: &mut Criterion) {
     let (fa_platform, fa_batch, fa_config, _fa_alone) = policy_instance(8, 768, 2);
     let fa_trace = failure_instance(8, 12);
     let fa_base = time_min_ns(reps(10), || {
-        online_schedule_with_failures_reference(&fa_platform, &fa_batch, &fa_config, &fa_trace)
-            .unwrap()
+        online_schedule_reference(&fa_platform, &fa_batch, &fa_config, &fa_trace).unwrap()
     });
     let fa_opt = time_min_ns(reps(50), || {
         online_schedule_with_failures(&fa_platform, &fa_batch, &fa_config, &fa_trace).unwrap()
     });
 
     let (se_platform, se_batch, se_config) = service_instance(8, 4_096);
+    let none = FailureTrace::none();
     let se_base = time_min_ns(reps(10), || {
-        serve_trace_reference(&se_platform, &se_batch, &se_config, &mut DiscardCompletions).unwrap()
+        serve_trace_reference(
+            &se_platform,
+            &se_batch,
+            &se_config,
+            &none,
+            &mut DiscardCompletions,
+        )
+        .unwrap()
     });
     let se_opt = time_min_ns(reps(10), || {
         serve_trace(
@@ -875,7 +884,7 @@ fn emit_json(c: &mut Criterion) {
         record(
             "multiload_failure",
             "p=8, loads=768, installments=2, SRPT online, 12 failure waves, uniform profile",
-            "linear rescan under failures (online_schedule_with_failures_reference)",
+            "linear rescan under failures (online_schedule_reference)",
             "indexed pending set under failures (online_schedule_with_failures)",
             fa_base,
             fa_opt,

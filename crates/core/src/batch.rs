@@ -43,7 +43,8 @@
 //!   arrays change bitwise — a worker failing out mid-trace shrinks the
 //!   degraded platform, and a stale-length seed must fall back to the
 //!   closed-form bound rather than index out of lane bounds (regression
-//!   test in `dlt-multiload`'s failure suite). The outer finish-time
+//!   test `platform_change_drops_share_seeds_but_keeps_the_warm_hint`:
+//!   a shrink, a grow-back and a slowed lane). The outer finish-time
 //!   hint survives platform changes, exactly like a shared
 //!   [`WarmStart`] handle does today.
 
@@ -573,9 +574,36 @@ mod tests {
         assert_eq!(solver.seeds.len(), 3);
         assert!(solver.last_makespan().unwrap() != warm_before || a.makespan == warm_before);
         // And the result still matches a cold scalar solve.
-        let mut warm = WarmStart::new();
-        let s = nonlinear::equal_finish_parallel_with(&p3, 100.0, 2.0, &config, &mut warm).unwrap();
-        assert_close(s.makespan, a.makespan, "post-shrink makespan");
+        let cold = |platform: &Platform| {
+            let mut warm = WarmStart::new();
+            nonlinear::equal_finish_parallel_with(platform, 100.0, 2.0, &config, &mut warm).unwrap()
+        };
+        assert_close(cold(&p3).makespan, a.makespan, "post-shrink makespan");
+        // Grow-back: the worker rejoins, the lanes widen again.
+        let a = solver.solve(&p5, 100.0, 2.0, &config).unwrap();
+        assert_eq!(a.x.len(), 5);
+        assert_eq!(solver.seeds.len(), 5);
+        let s = cold(&p5);
+        assert_close(s.makespan, a.makespan, "grow-back makespan");
+        for (i, (&xs, &xb)) in s.x.iter().zip(&a.x).enumerate() {
+            assert_close(xs, xb, &format!("grow-back share {i}"));
+        }
+        // Same width, one lane slowed (speed halved, cost doubled): the
+        // lane mirror is rebuilt, so the old lanes' seeds do not carry
+        // over.
+        let slowed =
+            Platform::from_speeds_and_costs(&[1.0, 2.0, 1.5, 4.0, 5.0], &[1.0, 1.0, 2.0, 1.0, 1.0])
+                .unwrap();
+        let a = solver.solve(&slowed, 100.0, 2.0, &config).unwrap();
+        assert_eq!(
+            solver.w[2].to_bits(),
+            slowed.iter().nth(2).unwrap().w().to_bits()
+        );
+        let s = cold(&slowed);
+        assert_close(s.makespan, a.makespan, "slowed-lane makespan");
+        for (i, (&xs, &xb)) in s.x.iter().zip(&a.x).enumerate() {
+            assert_close(xs, xb, &format!("slowed-lane share {i}"));
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! Streams a Poisson arrival trace (default 10⁶ loads; `--trace FILE`
 //! replays `size,alpha,release` lines instead; a malformed line prints
-//! its 1-based line number and exits 2, like a bad flag) through the
+//! its 1-based line number and exits 2, like a bad flag, and so does a
+//! well-formed trace the engine cannot serve) through the
 //! `dlt-multiload` service engine, one cell per admission order ×
 //! window × installment policy, printing the table and writing
 //! `results/multiload_service_<profile>.csv`. Cells run serially so
@@ -24,7 +25,7 @@ use dlt_experiments::multiload::{DEFAULT_ALPHAS, DEFAULT_BASE_SIZE};
 use dlt_experiments::runner::{flag_or, flags, parse_flags, write_and_print};
 use dlt_experiments::service::{
     default_cells, file_trace, run_service, run_service_cell, service_table, smoke_cells,
-    ServicePoint, TraceFileError, DEFAULT_SERVICE_LOADS, DEFAULT_SERVICE_P, DEFAULT_UTILIZATION,
+    ServicePoint, DEFAULT_SERVICE_LOADS, DEFAULT_SERVICE_P, DEFAULT_UTILIZATION,
 };
 use dlt_platform::{PlatformSpec, SpeedDistribution};
 use std::path::Path;
@@ -95,7 +96,7 @@ fn main() {
                         if let Some(e) = bad {
                             trace_error(path, e);
                         }
-                        point
+                        point.unwrap_or_else(|e| trace_error(path, e))
                     })
                     .collect()
             }
@@ -139,9 +140,9 @@ fn main() {
     }
 }
 
-/// Reports a trace file that cannot be replayed and exits 2, like a bad
-/// flag.
-fn trace_error(path: &Path, e: TraceFileError) -> ! {
+/// Reports a trace file that cannot be replayed (a bad line, or a load
+/// the engine cannot serve) and exits 2, like a bad flag.
+fn trace_error(path: &Path, e: impl std::fmt::Display) -> ! {
     eprintln!("error: {}: {e}", path.display());
     std::process::exit(2);
 }

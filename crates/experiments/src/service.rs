@@ -22,8 +22,8 @@
 
 use crate::models::ModelFamily;
 use dlt_multiload::{
-    serve_trace, AdmissionOrder, DiscardCompletions, InstallmentPolicy, LoadSpec, ServiceConfig,
-    ServiceReport,
+    serve_trace, AdmissionOrder, DiscardCompletions, InstallmentPolicy, LoadSpec, MultiLoadError,
+    ServiceConfig, ServiceReport,
 };
 use dlt_platform::rng::seeded_stream;
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
@@ -297,11 +297,16 @@ pub struct ServicePoint {
 
 /// Runs one cell on an already-built platform and trace. Exposed so the
 /// binary's `--trace` file mode can reuse the measurement path.
+///
+/// # Errors
+///
+/// Whatever [`serve_trace`] returns: a valid trace can still hold a load
+/// no solve handles (a finite but huge size, say).
 pub fn run_service_cell(
     platform: &Platform,
     trace: impl Iterator<Item = LoadSpec>,
     cell: ServiceCell,
-) -> ServicePoint {
+) -> Result<ServicePoint, MultiLoadError> {
     let cfg = ServiceConfig {
         order: cell.order,
         batch: cell.batch,
@@ -309,16 +314,15 @@ pub fn run_service_cell(
         track_stretch: true,
     };
     let start = Instant::now();
-    let report = serve_trace(platform, trace, &cfg, &mut DiscardCompletions)
-        .expect("service engine handles generated trace");
+    let report = serve_trace(platform, trace, &cfg, &mut DiscardCompletions)?;
     let wall_s = start.elapsed().as_secs_f64();
     let decisions_per_sec = report.decisions as f64 / wall_s.max(1e-9);
-    ServicePoint {
+    Ok(ServicePoint {
         cell,
         report,
         decisions_per_sec,
         wall_s,
-    }
+    })
 }
 
 /// Runs the sweep for one profile: every cell serially (cells must not
@@ -347,6 +351,7 @@ pub fn run_service(
         .map(|&cell| {
             let trace = arrival_trace(loads, base_size, alphas.to_vec(), spacing, seed, family);
             run_service_cell(&platform, trace, cell)
+                .expect("service engine handles generated trace")
         })
         .collect()
 }

@@ -516,6 +516,27 @@ fn bin_multiload_service_rejects_a_malformed_trace_file() {
 }
 
 #[test]
+fn bin_multiload_service_reports_an_unservable_trace_file() {
+    // Every line parses, but the middle load (10^15 units at α = 24)
+    // defeats the solver: an input error naming the file, exit 2, not a
+    // panic.
+    let path = std::env::temp_dir().join(format!("dlt-huge-trace-{}.csv", std::process::id()));
+    std::fs::write(&path, "10,1.5,0\n1e15,24,1\n20,1.5,2\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_multiload-service"))
+        .args(["--smoke", "--trace", path.to_str().unwrap()])
+        .output()
+        .expect("spawn multiload-service");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{}\n{stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains(&format!("error: {}: ", path.display())),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn bin_partition_quality_smoke() {
     let out = run_bin(
         env!("CARGO_BIN_EXE_partition-quality"),

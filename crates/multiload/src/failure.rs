@@ -42,9 +42,13 @@
 //!
 //! [`online_schedule_with_failures`] /
 //! [`policy_schedule_with_failures`] mirror the batch schedulers of
-//! [`crate::policy`] (each with a `_reference` twin) and run through the
-//! same adapter, with the trace passed on to the engine; the streamed
-//! counterpart is [`crate::service::serve_trace_with_failures`]. The
+//! [`crate::policy`] and run through the same adapter, with the trace
+//! passed on to the engine; the streamed counterpart is
+//! [`crate::service::serve_trace_with_failures`]. Each is gated by its
+//! scheduler's one reference, which takes the failure trace
+//! ([`crate::online_schedule_reference`],
+//! [`crate::policy_schedule_reference`],
+//! [`crate::serve_trace_reference`]). The
 //! offline variant run on the *realized* trace is the clairvoyant
 //! baseline of the competitive-ratio experiments: it knows every future
 //! arrival, but failures strike it all the same.
@@ -52,7 +56,6 @@
 use crate::error::MultiLoadError;
 use crate::load::LoadSpec;
 use crate::policy::{schedule, InstallmentExec, PolicyConfig, PolicyOutcome};
-use dlt_core::batch::SolveBackend;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
 
@@ -358,19 +361,17 @@ pub struct FailureOutcome {
     pub realized_alone: Vec<f64>,
 }
 
-/// Shared front door of the failure-aware policy entry points.
-fn schedule_with_failures(
+/// Shared front door of the failure-aware policy entry points and of the
+/// policy references.
+pub(crate) fn schedule_with_failures(
     platform: &Platform,
     loads: &[LoadSpec],
     config: &PolicyConfig,
     failures: &FailureTrace,
     online: bool,
     reference: bool,
-    backend: SolveBackend,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    let outcome = schedule(
-        platform, loads, config, None, !online, failures, reference, backend,
-    )?;
+    let outcome = schedule(platform, loads, config, None, !online, failures, reference)?;
     let realized_alone = realized_alone_makespans(platform, loads, &outcome.installment_log)?;
     Ok(FailureOutcome {
         outcome,
@@ -389,51 +390,7 @@ pub fn online_schedule_with_failures(
     config: &PolicyConfig,
     failures: &FailureTrace,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        true,
-        false,
-        SolveBackend::Scalar,
-    )
-}
-
-/// [`online_schedule_with_failures`] through an explicit solver backend:
-/// every solve — stretch denominators and the degraded-platform re-solves
-/// after each failure event — runs on `backend`. A worker dropping out
-/// rebuilds the platform mid-trace; the batched backend detects the lane
-/// change bitwise and falls back to the closed-form bound instead of
-/// reusing stale (wrong-length) share seeds. [`SolveBackend::Scalar`] is
-/// bit-identical to [`online_schedule_with_failures`].
-pub fn online_schedule_with_failures_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-    backend: SolveBackend,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, true, false, backend)
-}
-
-/// Linear-rescan reference twin of [`online_schedule_with_failures`] —
-/// bit-identical (property-tested), failures and all.
-pub fn online_schedule_with_failures_reference(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        true,
-        true,
-        SolveBackend::Scalar,
-    )
+    schedule_with_failures(platform, loads, config, failures, true, false)
 }
 
 /// [`crate::policy_schedule`] under a failure trace: the **clairvoyant**
@@ -447,45 +404,7 @@ pub fn policy_schedule_with_failures(
     config: &PolicyConfig,
     failures: &FailureTrace,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        false,
-        false,
-        SolveBackend::Scalar,
-    )
-}
-
-/// [`policy_schedule_with_failures`] through an explicit solver backend —
-/// the clairvoyant twin of [`online_schedule_with_failures_backend`].
-pub fn policy_schedule_with_failures_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-    backend: SolveBackend,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, false, false, backend)
-}
-
-/// Linear-rescan reference twin of [`policy_schedule_with_failures`].
-pub fn policy_schedule_with_failures_reference(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        false,
-        true,
-        SolveBackend::Scalar,
-    )
+    schedule_with_failures(platform, loads, config, failures, false, false)
 }
 
 /// Alone makespans at the **realized** granularity: for each load, `Σ`
@@ -590,7 +509,10 @@ pub fn replay_policy_ledger(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{alone_policy_makespans, online_schedule, policy_schedule, AdmissionOrder};
+    use crate::policy::{
+        alone_policy_makespans, online_schedule, online_schedule_reference, policy_schedule,
+        policy_schedule_reference, AdmissionOrder,
+    };
 
     fn platform() -> Platform {
         Platform::from_speeds_and_costs(&[1.0, 3.0, 0.7], &[1.0, 0.2, 2.0]).unwrap()
@@ -686,12 +608,10 @@ mod tests {
             for k in [1usize, 2, 4] {
                 let c = cfg(order, k);
                 let on = online_schedule_with_failures(&platform, &loads, &c, &trace).unwrap();
-                let on_ref =
-                    online_schedule_with_failures_reference(&platform, &loads, &c, &trace).unwrap();
+                let on_ref = online_schedule_reference(&platform, &loads, &c, &trace).unwrap();
                 assert_eq!(on, on_ref, "online {order:?} k={k}");
                 let off = policy_schedule_with_failures(&platform, &loads, &c, &trace).unwrap();
-                let off_ref =
-                    policy_schedule_with_failures_reference(&platform, &loads, &c, &trace).unwrap();
+                let off_ref = policy_schedule_reference(&platform, &loads, &c, &trace).unwrap();
                 assert_eq!(off, off_ref, "offline {order:?} k={k}");
             }
         }

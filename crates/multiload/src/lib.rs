@@ -34,8 +34,11 @@
 //!   remaining work, weighted stretch), with preemption between
 //!   installments and an online entry point that commits without future
 //!   knowledge. Both are thin adapters over the service engine below,
-//!   each with a linear-scan reference (bit-identical, property-tested),
-//!   mirroring the round-robin pair.
+//!   each with one linear-scan reference
+//!   ([`policy::policy_schedule_reference`],
+//!   [`policy::online_schedule_reference`]) that takes a failure trace
+//!   too (bit-identical, property-tested), mirroring the round-robin
+//!   pair.
 //!
 //! Under the policy schedulers sits the **service engine**
 //! ([`service::serve_trace`]), the crate's one installment loop: an
@@ -50,6 +53,13 @@
 //! [`policy::online_schedule`] bit for bit; its own linear-rescan twin
 //! ([`service::serve_trace_reference`]) gates the batched/adaptive modes.
 //!
+//! Every engine solves on the scalar warm-started equal-finish path
+//! ([`dlt_core::nonlinear::equal_finish_parallel_with`], one
+//! [`dlt_core::nonlinear::WarmStart`] per solve sequence); there is no
+//! solver-backend knob. The batched kernel ([`BatchSolver`],
+//! [`SolveBackend`]) is re-exported for callers that replay solves
+//! outside the engines.
+//!
 //! The **fault-injection layer** ([`failure`]) threads a [`FailureTrace`]
 //! of worker drop-outs and slow-downs through that one engine
 //! ([`online_schedule_with_failures`],
@@ -57,7 +67,8 @@
 //! failure event is cut — the served prefix retained, the remainder
 //! re-queued — and every later solve runs on the degraded platform, with
 //! bitwise-replayable conservation ([`failure::replay_ledger`]) and the
-//! same fast/reference lockstep as everywhere else.
+//! same fast/reference lockstep as everywhere else: each scheduler's one
+//! reference takes the failure trace.
 //!
 //! Per-load metrics (start, finish, flow time, stretch) and aggregates
 //! (makespan, mean flow, mean/max stretch, total data) live in
@@ -96,28 +107,24 @@ pub use dlt_core::batch::{BatchSolver, SolveBackend};
 pub use error::MultiLoadError;
 pub use event_queue::{PendingEntry, PendingSet};
 pub use failure::{
-    online_schedule_with_failures, online_schedule_with_failures_backend,
-    online_schedule_with_failures_reference, policy_schedule_with_failures,
-    policy_schedule_with_failures_backend, policy_schedule_with_failures_reference,
-    realized_alone_makespans, replay_ledger, replay_policy_ledger, FailureEvent, FailureKind,
-    FailureOutcome, FailureTrace, ServedPiece,
+    online_schedule_with_failures, policy_schedule_with_failures, realized_alone_makespans,
+    replay_ledger, replay_policy_ledger, FailureEvent, FailureKind, FailureOutcome, FailureTrace,
+    ServedPiece,
 };
-pub use fifo::{fifo_schedule, fifo_schedule_backend, FifoOutcome};
+pub use fifo::{fifo_schedule, FifoOutcome};
 pub use load::{release_order, LoadSpec};
 pub use metrics::{AggregateMetrics, LoadMetrics, MultiLoadReport, SchedulerKind};
 pub use policy::{
-    alone_policy_makespans, alone_policy_makespans_backend, online_schedule,
-    online_schedule_reference, online_schedule_reference_with_alone, online_schedule_with_alone,
-    policy_schedule, policy_schedule_reference, AdmissionOrder, InstallmentExec, PolicyConfig,
-    PolicyOutcome,
+    alone_policy_makespans, online_schedule, online_schedule_reference,
+    online_schedule_reference_with_alone, online_schedule_with_alone, policy_schedule,
+    policy_schedule_reference, AdmissionOrder, InstallmentExec, PolicyConfig, PolicyOutcome,
 };
 pub use round_robin::{
-    alone_makespans, alone_makespans_backend, round_robin_schedule, round_robin_schedule_reference,
+    alone_makespans, round_robin_schedule, round_robin_schedule_reference,
     round_robin_schedule_reference_with_alone, round_robin_schedule_with_alone, ChunkExec,
     MultiLoadConfig, RoundRobinOutcome,
 };
 pub use service::{
-    serve_trace, serve_trace_reference, serve_trace_with_failures,
-    serve_trace_with_failures_backend, serve_trace_with_failures_reference, CompletedLoad,
-    CompletionSink, DiscardCompletions, InstallmentPolicy, ServiceConfig, ServiceReport,
+    serve_trace, serve_trace_reference, serve_trace_with_failures, CompletedLoad, CompletionSink,
+    DiscardCompletions, InstallmentPolicy, ServiceConfig, ServiceReport,
 };

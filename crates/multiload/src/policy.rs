@@ -44,11 +44,14 @@
 //! engine of [`crate::service`], whose module docs say how a batch is
 //! fed to it and what clairvoyance changes.
 //!
-//! Like the round-robin pair, each entry point keeps a **linear-scan
+//! Like the round-robin pair, each scheduler keeps **one linear-scan
 //! reference** ([`policy_schedule_reference`],
 //! [`online_schedule_reference`]): the same engine selecting by an
 //! obviously-correct rescan that recomputes every priority key (one
-//! `powf` per candidate) at every decision. The fast entry points pop the
+//! `powf` per candidate) at every decision. A reference takes the
+//! failure trace, so the same twin gates the plain entry point (with
+//! [`FailureTrace::none`]) and its `_with_failures` form. The fast entry
+//! points pop the
 //! engine's indexed pending set ([`crate::event_queue::PendingSet`]),
 //! whose remaining-work estimates are recomputed only when *their* load's
 //! remaining size changes; they are property-tested **bit-identical** to
@@ -65,11 +68,10 @@
 //! ≥ 1.
 
 use crate::error::MultiLoadError;
-use crate::failure::FailureTrace;
+use crate::failure::{schedule_with_failures, FailureOutcome, FailureTrace};
 use crate::load::{validate_batch, LoadSpec};
 use crate::metrics::{LoadMetrics, MultiLoadReport, SchedulerKind};
 use crate::service;
-use dlt_core::batch::{BatchSolver, SolveBackend};
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -231,8 +233,7 @@ pub(crate) fn work_estimate(remaining: f64, model: CostLaw, speed_sum: f64) -> f
 /// Alone-on-the-platform makespan of **one** load at installment
 /// granularity `installments`: `Σ` of its installment solves back to back
 /// (the exact `remaining / left` size sequence). The caller threads the
-/// solver handle (a [`BatchSolver`] — its scalar backend is bit-identical
-/// to threading a plain warm-start handle); [`alone_policy_makespans`]
+/// warm-start handle; [`alone_policy_makespans`]
 /// and the service engine's admission-time stretch denominators both go
 /// through this one function, which is what keeps their solve sequences —
 /// and therefore their bits — aligned.
@@ -241,13 +242,14 @@ pub(crate) fn alone_installment_makespan(
     load: &LoadSpec,
     installments: usize,
     config: &nonlinear::SolverConfig,
-    solver: &mut BatchSolver,
+    warm: &mut nonlinear::WarmStart,
 ) -> Result<f64, MultiLoadError> {
     let mut remaining = load.size;
     let mut total = 0.0;
     for left in (1..=installments).rev() {
         let inst = next_installment(remaining, left);
-        total += solver.solve(platform, inst, load.model, config)?.makespan;
+        total += nonlinear::equal_finish_parallel_with(platform, inst, load.model, config, warm)?
+            .makespan;
         remaining = if left == 1 { 0.0 } else { remaining - inst };
     }
     Ok(total)
@@ -267,36 +269,22 @@ pub fn alone_policy_makespans(
     loads: &[LoadSpec],
     installments: usize,
 ) -> Result<Vec<f64>, MultiLoadError> {
-    alone_policy_makespans_backend(platform, loads, installments, SolveBackend::Scalar)
-}
-
-/// [`alone_policy_makespans`] through an explicit solver backend:
-/// [`SolveBackend::Scalar`] is bit-identical to the plain entry point,
-/// [`SolveBackend::Batched`] runs the structure-of-arrays kernel (≤ 1e-9
-/// relative of scalar, faster on wide platforms).
-pub fn alone_policy_makespans_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    installments: usize,
-    backend: SolveBackend,
-) -> Result<Vec<f64>, MultiLoadError> {
     if installments == 0 {
         return Err(MultiLoadError::ZeroInstallments);
     }
     let config = nonlinear::SolverConfig::default();
-    let mut solver = BatchSolver::new(backend);
+    let mut warm = nonlinear::WarmStart::new();
     loads
         .iter()
-        .map(|load| alone_installment_makespan(platform, load, installments, &config, &mut solver))
+        .map(|load| alone_installment_makespan(platform, load, installments, &config, &mut warm))
         .collect()
 }
 
 /// The one adapter behind every batch entry point: validates the batch,
 /// takes the stretch denominators as given (`alone`) or computes them in
-/// index order on `backend`, runs [`crate::service`]'s engine
+/// index order, runs [`crate::service`]'s engine
 /// ([`service::run_batch`]) and assembles the outcome from its report,
 /// its completed loads and its installment log.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule(
     platform: &Platform,
     loads: &[LoadSpec],
@@ -305,7 +293,6 @@ pub(crate) fn schedule(
     clairvoyant: bool,
     failures: &FailureTrace,
     reference: bool,
-    backend: SolveBackend,
 ) -> Result<PolicyOutcome, MultiLoadError> {
     validate_batch(loads)?;
     if config.installments == 0 {
@@ -322,8 +309,7 @@ pub(crate) fn schedule(
         }
         Some(alone) => alone,
         None => {
-            computed =
-                alone_policy_makespans_backend(platform, loads, config.installments, backend)?;
+            computed = alone_policy_makespans(platform, loads, config.installments)?;
             &computed
         }
     };
@@ -335,7 +321,6 @@ pub(crate) fn schedule(
         clairvoyant,
         failures,
         reference,
-        backend,
     )?;
     let per_load = done
         .iter()
@@ -392,37 +377,22 @@ pub fn policy_schedule(
     config: &PolicyConfig,
 ) -> Result<PolicyOutcome, MultiLoadError> {
     let none = FailureTrace::none();
-    schedule(
-        platform,
-        loads,
-        config,
-        None,
-        true,
-        &none,
-        false,
-        SolveBackend::Scalar,
-    )
+    schedule(platform, loads, config, None, true, &none, false)
 }
 
-/// Executable specification of [`policy_schedule`]: rescans every load
-/// and recomputes every priority key at every decision. Bit-identical
-/// (property-tested).
+/// Executable specification of [`policy_schedule`] and
+/// [`crate::policy_schedule_with_failures`]: rescans every load and
+/// recomputes every priority key at every decision. Bit-identical to
+/// [`crate::policy_schedule_with_failures`] on the same `failures`
+/// (property-tested); with [`FailureTrace::none`] its `outcome` is
+/// [`policy_schedule`]'s.
 pub fn policy_schedule_reference(
     platform: &Platform,
     loads: &[LoadSpec],
     config: &PolicyConfig,
-) -> Result<PolicyOutcome, MultiLoadError> {
-    let none = FailureTrace::none();
-    schedule(
-        platform,
-        loads,
-        config,
-        None,
-        true,
-        &none,
-        true,
-        SolveBackend::Scalar,
-    )
+    failures: &FailureTrace,
+) -> Result<FailureOutcome, MultiLoadError> {
+    schedule_with_failures(platform, loads, config, failures, false, true)
 }
 
 /// Online policy scheduler: load specs are **revealed at their release
@@ -455,16 +425,7 @@ pub fn online_schedule(
     config: &PolicyConfig,
 ) -> Result<PolicyOutcome, MultiLoadError> {
     let none = FailureTrace::none();
-    schedule(
-        platform,
-        loads,
-        config,
-        None,
-        false,
-        &none,
-        false,
-        SolveBackend::Scalar,
-    )
+    schedule(platform, loads, config, None, false, &none, false)
 }
 
 /// [`online_schedule`] with precomputed stretch denominators (see
@@ -476,40 +437,25 @@ pub fn online_schedule_with_alone(
     alone: &[f64],
 ) -> Result<PolicyOutcome, MultiLoadError> {
     let none = FailureTrace::none();
-    schedule(
-        platform,
-        loads,
-        config,
-        Some(alone),
-        false,
-        &none,
-        false,
-        SolveBackend::Scalar,
-    )
+    schedule(platform, loads, config, Some(alone), false, &none, false)
 }
 
-/// Executable specification of [`online_schedule`]: the linear rescan.
-/// Bit-identical (property-tested), and the baseline of the
-/// `multiload_policy` hotpaths bench entry.
+/// Executable specification of [`online_schedule`] and
+/// [`crate::online_schedule_with_failures`]: the linear rescan.
+/// Bit-identical to [`crate::online_schedule_with_failures`] on the same
+/// `failures` (property-tested); with [`FailureTrace::none`] its
+/// `outcome` is [`online_schedule`]'s.
 pub fn online_schedule_reference(
     platform: &Platform,
     loads: &[LoadSpec],
     config: &PolicyConfig,
-) -> Result<PolicyOutcome, MultiLoadError> {
-    let none = FailureTrace::none();
-    schedule(
-        platform,
-        loads,
-        config,
-        None,
-        false,
-        &none,
-        true,
-        SolveBackend::Scalar,
-    )
+    failures: &FailureTrace,
+) -> Result<FailureOutcome, MultiLoadError> {
+    schedule_with_failures(platform, loads, config, failures, true, true)
 }
 
-/// [`online_schedule_reference`] with precomputed stretch denominators.
+/// The linear rescan of [`online_schedule_with_alone`], without failures:
+/// the baseline of the `multiload_policy` hotpaths bench entry.
 pub fn online_schedule_reference_with_alone(
     platform: &Platform,
     loads: &[LoadSpec],
@@ -517,16 +463,7 @@ pub fn online_schedule_reference_with_alone(
     alone: &[f64],
 ) -> Result<PolicyOutcome, MultiLoadError> {
     let none = FailureTrace::none();
-    schedule(
-        platform,
-        loads,
-        config,
-        Some(alone),
-        false,
-        &none,
-        true,
-        SolveBackend::Scalar,
-    )
+    schedule(platform, loads, config, Some(alone), false, &none, true)
 }
 
 #[cfg(test)]
@@ -661,10 +598,16 @@ mod tests {
             for installments in [1usize, 2, 5] {
                 let c = cfg(order, installments);
                 let off = policy_schedule(&platform, &loads, &c).unwrap();
-                let off_ref = policy_schedule_reference(&platform, &loads, &c).unwrap();
+                let off_ref =
+                    policy_schedule_reference(&platform, &loads, &c, &FailureTrace::none())
+                        .unwrap()
+                        .outcome;
                 assert_eq!(off, off_ref, "offline {order:?} k={installments}");
                 let on = online_schedule(&platform, &loads, &c).unwrap();
-                let on_ref = online_schedule_reference(&platform, &loads, &c).unwrap();
+                let on_ref =
+                    online_schedule_reference(&platform, &loads, &c, &FailureTrace::none())
+                        .unwrap()
+                        .outcome;
                 assert_eq!(on, on_ref, "online {order:?} k={installments}");
             }
         }

@@ -38,20 +38,19 @@
 //! With stretch tracked, every admission also solves the load's
 //! granularity-matched alone makespan (the stretch denominator). Under
 //! FIFO and SRPT that value never ranks anything, so on a multi-core host
-//! the fast streaming entry points ([`serve_trace`],
-//! [`serve_trace_with_failures`] and [`serve_trace_with_failures_backend`])
-//! hand it to **one helper thread**: each
+//! the fast streaming entry points ([`serve_trace`] and
+//! [`serve_trace_with_failures`]) hand it to **one helper thread**: each
 //! admission sends `(spec, installments)` over a bounded queue, the
-//! helper solves the alones on its own handle *in admission order* — the
-//! very warm-start sequence the inline path runs, hence the same bits —
-//! and a finished load waits in a completion-ordered queue until its own
-//! alone is back. The sink order, the summation order of the stretch
-//! aggregates and every [`CompletedLoad`] are therefore unchanged; only
-//! the wall-clock pacing of [`CompletionSink::completed`] calls differs
-//! (completions may leave in small bursts). Weighted stretch (its key
-//! divides by the alone), stretch tracking off, single-core hosts and the
-//! `_reference` twins keep the alone solves inline, so the twins gate
-//! the cross-thread path bit for bit.
+//! helper solves the alones on its own warm-start handle *in admission
+//! order* — the very warm-start sequence the inline path runs, hence the
+//! same bits — and a finished load waits in a completion-ordered queue
+//! until its own alone is back. The sink order, the summation order of
+//! the stretch aggregates and every [`CompletedLoad`] are therefore
+//! unchanged; only the wall-clock pacing of [`CompletionSink::completed`]
+//! calls differs (completions may leave in small bursts). Weighted
+//! stretch (its key divides by the alone), stretch tracking off,
+//! single-core hosts and [`serve_trace_reference`] keep the alone solves
+//! inline, so the reference gates the cross-thread path bit for bit.
 //!
 //! # Batch adapters
 //!
@@ -93,7 +92,6 @@ use crate::policy::{
     alone_installment_makespan, next_installment, work_estimate, AdmissionOrder, InstallmentExec,
     PolicyConfig,
 };
-use dlt_core::batch::{BatchSolver, SolveBackend};
 use dlt_core::costmodel::CostLaw;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -436,13 +434,10 @@ fn next_job<T>(jobs: &mpsc::Receiver<T>) -> Option<T> {
 /// once the admitted load is live and [`Alones::complete`] at every
 /// completion; the helper's owner calls [`Helper::finish`] at the end of
 /// the trace.
-// One per run, built once and never moved in the loop: the inline
-// handle's size costs nothing.
-#[allow(clippy::large_enum_variant)]
 enum Alones<'h> {
     /// Solved at admission on the engine's own thread, through this
     /// handle; `None` when stretch tracking is off.
-    Inline(Option<BatchSolver>),
+    Inline(Option<nonlinear::WarmStart>),
     /// Solved in admission order on a helper thread.
     Helper(&'h mut Helper),
     /// Given up front, indexed by load id — the batch adapters' index-order
@@ -477,8 +472,8 @@ impl Alones<'_> {
 
     /// The inline path, with a solver handle only when stretch is
     /// tracked.
-    fn inline(config: &ServiceConfig, backend: SolveBackend) -> Self {
-        Self::Inline(config.track_stretch.then(|| BatchSolver::new(backend)))
+    fn inline(config: &ServiceConfig) -> Self {
+        Self::Inline(config.track_stretch.then(nonlinear::WarmStart::new))
     }
 
     /// Admits a load cut into `k` installments. Returns its alone
@@ -496,9 +491,9 @@ impl Alones<'_> {
         match self {
             Self::Inline(None) => Ok(0.0),
             Self::Given(alone) => Ok(alone[id as usize]),
-            Self::Inline(Some(bsolver_alone)) => {
+            Self::Inline(Some(warm_alone)) => {
                 report.alone_solves += k as u64;
-                alone_installment_makespan(platform, spec, k, solver, bsolver_alone)
+                alone_installment_makespan(platform, spec, k, solver, warm_alone)
             }
             Self::Helper(h) => {
                 report.alone_solves += k as u64;
@@ -557,19 +552,15 @@ impl Helper {
     /// Starts the helper inside `scope`: one handle, solving each
     /// received load's alone in arrival order, exactly as
     /// [`Alones::Inline`] would.
-    fn spawn<'scope>(
-        scope: &'scope thread::Scope<'scope, '_>,
-        platform: &'scope Platform,
-        backend: SolveBackend,
-    ) -> Self {
+    fn spawn<'scope>(scope: &'scope thread::Scope<'scope, '_>, platform: &'scope Platform) -> Self {
         let (jobs, job_rx) = mpsc::sync_channel(ALONE_QUEUE_BOUND);
         let (result_tx, results) = mpsc::channel();
         scope.spawn(move || {
             let solver = nonlinear::SolverConfig::default();
-            let mut bsolver_alone = BatchSolver::new(backend);
+            let mut warm_alone = nonlinear::WarmStart::new();
             while let Some((spec, k)) = next_job(&job_rx) {
                 let alone =
-                    alone_installment_makespan(platform, &spec, k, &solver, &mut bsolver_alone);
+                    alone_installment_makespan(platform, &spec, k, &solver, &mut warm_alone);
                 let failed = alone.is_err();
                 if result_tx.send(alone).is_err() || failed {
                     break;
@@ -756,68 +747,24 @@ where
     I: IntoIterator<Item = LoadSpec>,
     S: CompletionSink,
 {
-    serve_trace_with_failures_backend(
-        platform,
-        trace,
-        config,
-        failures,
-        SolveBackend::Scalar,
-        sink,
-    )
-}
-
-/// [`serve_trace_with_failures`] through an explicit solver backend: the
-/// admission-time alone solves and the installment/merged-group solves run
-/// on `backend`, each through its own persistent
-/// [`dlt_core::batch::BatchSolver`] handle (with an empty failure trace,
-/// this is [`serve_trace`] on `backend`). A `Down` event shrinks the
-/// platform mid-trace; the batched backend's solver handle detects the
-/// lane change and discards its per-worker share seeds (now the wrong
-/// length) instead of misapplying them. [`SolveBackend::Scalar`] is
-/// bit-identical to [`serve_trace_with_failures`].
-pub fn serve_trace_with_failures_backend<I, S>(
-    platform: &Platform,
-    trace: I,
-    config: &ServiceConfig,
-    failures: &FailureTrace,
-    backend: SolveBackend,
-    sink: &mut S,
-) -> Result<ServiceReport, MultiLoadError>
-where
-    I: IntoIterator<Item = LoadSpec>,
-    S: CompletionSink,
-{
     validate_config(config)?;
     failures.validate_for(platform.len())?;
-    indexed_engine(platform, trace.into_iter(), config, failures, backend, sink)
+    indexed_engine(platform, trace.into_iter(), config, failures, sink)
 }
 
-/// Executable specification of [`serve_trace`] for materialized traces:
-/// identical admission, batching and solving, but selection is a linear
-/// rescan that recomputes every candidate's key from scratch.
-/// Bit-identical to the engine across policy × window size × installment
-/// policy (property-tested) — the oracle for everything
+/// Executable specification of [`serve_trace_with_failures`] (and, with
+/// [`FailureTrace::none`], of [`serve_trace`]) for materialized traces:
+/// identical admission, batching, solving and failure cuts, but selection
+/// is a linear rescan that recomputes every candidate's key from scratch,
+/// and the alone solves always run inline. Bit-identical to the engine
+/// across policy × window size × installment policy × failure trace
+/// (property-tested) — the oracle for everything
 /// [`crate::policy::online_schedule`] cannot express (windows > 1,
 /// adaptive installments).
 pub fn serve_trace_reference<S>(
     platform: &Platform,
     loads: &[LoadSpec],
     config: &ServiceConfig,
-    sink: &mut S,
-) -> Result<ServiceReport, MultiLoadError>
-where
-    S: CompletionSink,
-{
-    validate_config(config)?;
-    rescan_engine(platform, loads, config, &FailureTrace::none(), sink)
-}
-
-/// Linear-rescan reference twin of [`serve_trace_with_failures`] —
-/// bit-identical (property-tested), failures and all.
-pub fn serve_trace_with_failures_reference<S>(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &ServiceConfig,
     failures: &FailureTrace,
     sink: &mut S,
 ) -> Result<ServiceReport, MultiLoadError>
@@ -826,7 +773,16 @@ where
 {
     validate_config(config)?;
     failures.validate_for(platform.len())?;
-    rescan_engine(platform, loads, config, failures, sink)
+    engine(
+        platform,
+        (0..).zip(loads.iter().copied()),
+        config,
+        failures,
+        RescanSelector::new(config.order, platform),
+        &mut Alones::inline(config),
+        None,
+        sink,
+    )
 }
 
 /// The fast engines: the indexed pending set, with the alone solves on a
@@ -836,7 +792,6 @@ fn indexed_engine<I, S>(
     arrivals: I,
     config: &ServiceConfig,
     failures: &FailureTrace,
-    backend: SolveBackend,
     sink: &mut S,
 ) -> Result<ServiceReport, MultiLoadError>
 where
@@ -846,7 +801,7 @@ where
     let arrivals = (0..).zip(arrivals);
     let selector = IndexedSelector(PendingSet::new(config.order));
     if !Alones::offloadable(config) {
-        let mut alones = Alones::inline(config, backend);
+        let mut alones = Alones::inline(config);
         return engine(
             platform,
             arrivals,
@@ -854,13 +809,12 @@ where
             failures,
             selector,
             &mut alones,
-            backend,
             None,
             sink,
         );
     }
     thread::scope(|scope| {
-        let mut helper = Helper::spawn(scope, platform, backend);
+        let mut helper = Helper::spawn(scope, platform);
         engine(
             platform,
             arrivals,
@@ -868,7 +822,6 @@ where
             failures,
             selector,
             &mut Alones::Helper(&mut helper),
-            backend,
             None,
             sink,
         )
@@ -881,32 +834,6 @@ where
         // inline.
         .map_err(|e| helper.first_error().unwrap_or(e))
     })
-}
-
-/// The references: linear-rescan selection, scalar solves, alones
-/// always inline.
-fn rescan_engine<S>(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &ServiceConfig,
-    failures: &FailureTrace,
-    sink: &mut S,
-) -> Result<ServiceReport, MultiLoadError>
-where
-    S: CompletionSink,
-{
-    let backend = SolveBackend::Scalar;
-    engine(
-        platform,
-        (0..).zip(loads.iter().copied()),
-        config,
-        failures,
-        RescanSelector::new(config.order, platform),
-        &mut Alones::inline(config, backend),
-        backend,
-        None,
-        sink,
-    )
 }
 
 /// What the batch adapters of [`crate::policy`] add to a run.
@@ -922,7 +849,6 @@ struct Batch<'a> {
 /// module docs, *Batch adapters*); `reference` selects by linear rescan.
 /// Returns the report, the completed loads in batch order and the
 /// installment log.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch(
     platform: &Platform,
     loads: &[LoadSpec],
@@ -931,7 +857,6 @@ pub(crate) fn run_batch(
     clairvoyant: bool,
     failures: &FailureTrace,
     reference: bool,
-    backend: SolveBackend,
 ) -> Result<(ServiceReport, Vec<CompletedLoad>, Vec<InstallmentExec>), MultiLoadError> {
     let service = ServiceConfig {
         order: config.order,
@@ -958,7 +883,6 @@ pub(crate) fn run_batch(
             failures,
             selector,
             &mut alones,
-            backend,
             batch,
             &mut done,
         )
@@ -971,7 +895,6 @@ pub(crate) fn run_batch(
             failures,
             selector,
             &mut alones,
-            backend,
             batch,
             &mut done,
         )
@@ -994,7 +917,6 @@ fn engine<I, Sel, S>(
     failures: &FailureTrace,
     mut selector: Sel,
     alones: &mut Alones<'_>,
-    backend: SolveBackend,
     mut batch: Option<Batch<'_>>,
     sink: &mut S,
 ) -> Result<ServiceReport, MultiLoadError>
@@ -1006,14 +928,13 @@ where
     let p = platform.len();
     let speed_sum: f64 = platform.speeds().iter().sum();
     let solver = nonlinear::SolverConfig::default();
-    // Two solver handles: installment solves thread through this one
+    // Two warm-start handles: installment solves thread through this one
     // (the first solve cold, as in `fifo_schedule`); admission-time
     // alone solves thread through the other, held by `alones`, in
     // admission order — the same sequence `alone_policy_makespans` runs,
     // kept on its own handle so interleaving cannot perturb either
-    // sequence's brackets (or, on the batched backend, each other's share
-    // seeds).
-    let mut bsolver = BatchSolver::new(backend);
+    // sequence's brackets.
+    let mut warm = nonlinear::WarmStart::new();
     let mut fstate = PlatformState::new(platform, failures);
     let mut scratch: Vec<f64> = Vec::new();
     let mut states: BTreeMap<u64, LoadState> = BTreeMap::new();
@@ -1153,7 +1074,13 @@ where
             } else {
                 members.iter().map(|&(_, d)| d).sum()
             };
-            let alloc = bsolver.solve(fstate.current(start)?.0, total, *model, &solver)?;
+            let alloc = nonlinear::equal_finish_parallel_with(
+                fstate.current(start)?.0,
+                total,
+                *model,
+                &solver,
+                &mut warm,
+            )?;
             report.solves += 1;
             let finish = start + alloc.makespan;
             // A failure strictly inside the group's round cuts every

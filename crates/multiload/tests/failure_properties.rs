@@ -9,11 +9,11 @@
 //! sets with `PROPTEST_SEED` — no rebuild, no code change.
 
 use dlt_multiload::{
-    alone_policy_makespans, online_schedule, online_schedule_with_failures,
-    online_schedule_with_failures_reference, policy_schedule, policy_schedule_with_failures,
-    policy_schedule_with_failures_reference, replay_ledger, replay_policy_ledger, serve_trace,
-    serve_trace_with_failures, serve_trace_with_failures_reference, AdmissionOrder, CompletedLoad,
-    FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec, PolicyConfig, ServiceConfig,
+    alone_policy_makespans, online_schedule, online_schedule_reference,
+    online_schedule_with_failures, policy_schedule, policy_schedule_reference,
+    policy_schedule_with_failures, replay_ledger, replay_policy_ledger, serve_trace,
+    serve_trace_reference, serve_trace_with_failures, AdmissionOrder, CompletedLoad, FailureEvent,
+    FailureTrace, InstallmentPolicy, LoadSpec, PolicyConfig, ServiceConfig,
 };
 use dlt_platform::Platform;
 use proptest::prelude::*;
@@ -95,12 +95,10 @@ proptest! {
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
         let on = online_schedule_with_failures(&platform, &loads, &cfg, &failures).unwrap();
-        let on_ref =
-            online_schedule_with_failures_reference(&platform, &loads, &cfg, &failures).unwrap();
+        let on_ref = online_schedule_reference(&platform, &loads, &cfg, &failures).unwrap();
         prop_assert_eq!(&on, &on_ref);
         let off = policy_schedule_with_failures(&platform, &loads, &cfg, &failures).unwrap();
-        let off_ref =
-            policy_schedule_with_failures_reference(&platform, &loads, &cfg, &failures).unwrap();
+        let off_ref = policy_schedule_reference(&platform, &loads, &cfg, &failures).unwrap();
         prop_assert_eq!(&off, &off_ref);
     }
 
@@ -204,8 +202,7 @@ proptest! {
         let mut slow: Vec<CompletedLoad> = Vec::new();
         let a = serve_trace_with_failures(
             &platform, loads.iter().copied(), &cfg, &failures, &mut fast).unwrap();
-        let b = serve_trace_with_failures_reference(
-            &platform, &loads, &cfg, &failures, &mut slow).unwrap();
+        let b = serve_trace_reference(&platform, &loads, &cfg, &failures, &mut slow).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&fast, &slow);
         for c in &fast {

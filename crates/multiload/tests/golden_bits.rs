@@ -16,10 +16,9 @@
 //! middle of the schedule.
 
 use dlt_multiload::{
-    online_schedule, online_schedule_with_failures, online_schedule_with_failures_reference,
-    policy_schedule, policy_schedule_with_failures, policy_schedule_with_failures_reference,
-    AdmissionOrder, FailureEvent, FailureOutcome, FailureTrace, LoadSpec, PolicyConfig,
-    PolicyOutcome,
+    online_schedule, online_schedule_reference, online_schedule_with_failures, policy_schedule,
+    policy_schedule_reference, policy_schedule_with_failures, AdmissionOrder, FailureEvent,
+    FailureOutcome, FailureTrace, LoadSpec, PolicyConfig, PolicyOutcome,
 };
 use dlt_platform::Platform;
 
@@ -184,12 +183,12 @@ fn tie_heavy_unsorted_batches_keep_their_golden_bits() {
         let (fast, reference) = if clairvoyant {
             (
                 policy_schedule_with_failures(&platform, &loads, &cfg, &failures),
-                policy_schedule_with_failures_reference(&platform, &loads, &cfg, &failures),
+                policy_schedule_reference(&platform, &loads, &cfg, &failures),
             )
         } else {
             (
                 online_schedule_with_failures(&platform, &loads, &cfg, &failures),
-                online_schedule_with_failures_reference(&platform, &loads, &cfg, &failures),
+                online_schedule_reference(&platform, &loads, &cfg, &failures),
             )
         };
         let (fast, reference) = (fast.unwrap(), reference.unwrap());

@@ -13,8 +13,8 @@
 //! part-way through a stream.
 
 use dlt_multiload::{
-    serve_trace, serve_trace_reference, AdmissionOrder, CompletedLoad, InstallmentPolicy, LoadSpec,
-    MultiLoadError, ServiceConfig, ServiceReport,
+    serve_trace, serve_trace_reference, AdmissionOrder, CompletedLoad, FailureTrace,
+    InstallmentPolicy, LoadSpec, MultiLoadError, ServiceConfig, ServiceReport,
 };
 use dlt_platform::Platform;
 
@@ -64,8 +64,9 @@ fn assert_lockstep_under(
         let fast = serve_trace(&platform, loads.iter().cloned(), cfg, &mut fast_out)
             .unwrap_or_else(|e| panic!("{what}: fast engine failed under {cfg:?}: {e}"));
         let mut ref_out: Vec<CompletedLoad> = Vec::new();
-        let reference = serve_trace_reference(&platform, loads, cfg, &mut ref_out)
-            .unwrap_or_else(|e| panic!("{what}: reference failed under {cfg:?}: {e}"));
+        let reference =
+            serve_trace_reference(&platform, loads, cfg, &FailureTrace::none(), &mut ref_out)
+                .unwrap_or_else(|e| panic!("{what}: reference failed under {cfg:?}: {e}"));
         assert_eq!(fast, reference, "{what}: report diverged under {cfg:?}");
         assert_eq!(
             fast_out, ref_out,
@@ -127,8 +128,9 @@ fn assert_same_error(
     let fast = serve_trace(&platform, loads.iter().cloned(), cfg, &mut fast_out)
         .expect_err("the fast engine must fail");
     let mut ref_out: Vec<CompletedLoad> = Vec::new();
-    let reference = serve_trace_reference(&platform, loads, cfg, &mut ref_out)
-        .expect_err("the reference must fail");
+    let reference =
+        serve_trace_reference(&platform, loads, cfg, &FailureTrace::none(), &mut ref_out)
+            .expect_err("the reference must fail");
     assert_eq!(fast, reference, "{what}: errors diverged under {cfg:?}");
     assert!(
         fast_out.starts_with(&ref_out) || ref_out.starts_with(&fast_out),
